@@ -124,6 +124,15 @@ serve-fleet: build
 bench: bench-simcore
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./internal/sweep ./internal/experiments
 
+# perfbench-test runs the benchmark program's own tests. perfbench is a
+# separate module (repro/perfbench) outside the root ./..., so without
+# this target a change to an API it drives (internal/client,
+# internal/dispatch, internal/server) could break the benchmark while
+# every root test stays green.
+.PHONY: perfbench-test
+perfbench-test:
+	cd perfbench && GOFLAGS= GOWORK=off GOPROXY=off $(GO) test ./...
+
 # bench-simcore measures the two execution engines (event-driven vs the
 # reference stepper) on the Quick-scale Figure 7a campaign and records
 # the numbers in BENCH_simcore.json, so engine-performance history

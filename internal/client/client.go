@@ -33,8 +33,11 @@ type Client struct {
 	http   *http.Client
 	stream *http.Client // no overall timeout: carries SSE streams
 
-	// PollInterval is the status-poll period of Wait and RunSweep
-	// (default 250ms). It is also the base of the retry backoff.
+	// PollInterval is the base of the retry backoff (default 250ms):
+	// the first wait after a 429, a dropped analysis stream, or a
+	// status long-poll the daemon did not hold. It no longer paces
+	// completion — Wait and RunSweep long-poll, and the daemon answers
+	// the moment a job finishes.
 	PollInterval time.Duration
 
 	// MaxBackoff caps the exponential retry/reconnect backoff of
@@ -64,10 +67,13 @@ func (c *Client) SetTransport(rt http.RoundTripper) {
 
 // New returns a client for the daemon at baseURL (e.g.
 // "http://localhost:8344"). The URL may include a path prefix; a
-// missing scheme defaults to http. Requests carry a generous overall
+// missing scheme defaults to http. Requests carry a two-minute overall
 // timeout so a daemon that vanishes without closing its connections
 // (power loss, network partition) surfaces as an error instead of
-// hanging Wait/RunSweep forever; none of the client's calls stream.
+// hanging Wait/RunSweep forever. The timeout bounds every call except
+// StreamAnalysis, whose SSE stream only ctx bounds; the status
+// long-polls of Wait and RunSweep hold a request for up to 30 s
+// (server.MaxLongPoll), well inside it.
 func New(baseURL string) *Client {
 	base := strings.TrimSuffix(baseURL, "/")
 	if !strings.Contains(base, "://") {
@@ -344,24 +350,52 @@ func (c *Client) Metrics(ctx context.Context) (server.Metrics, error) {
 	return m, err
 }
 
-// Wait polls until the job reaches a terminal state and returns it.
+// longPollWait is the wait= a status long-poll asks for: the daemon
+// holds the request until a job settles or this much time passes.
+const longPollWait = 25 * time.Second
+
+// Wait returns the job's status once it reaches a terminal state,
+// result included when done. Each pass is one long-poll of the job's
+// status route, which the daemon answers as soon as the job finishes.
 func (c *Client) Wait(ctx context.Context, id string) (server.JobStatus, error) {
-	ticker := time.NewTicker(c.pollInterval())
-	defer ticker.Stop()
+	path := "/v1/jobs/" + url.PathEscape(id) + "?wait=" + longPollWait.String()
+	var hold holdGuard
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
+		var st server.JobStatus
+		hold.start()
+		if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil || st.State.Terminal() {
 			return st, err
 		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-ticker.C:
+		if err := hold.pace(ctx, c); err != nil {
+			return st, err
 		}
 	}
+}
+
+// holdGuard paces a long-poll loop against a daemon that answers
+// without holding the request — one that predates long-polls, or is
+// shutting down — so the loop backs off instead of spinning. A daemon
+// that holds the request until a job settles never triggers it.
+type holdGuard struct {
+	sent    time.Time
+	attempt int
+}
+
+func (g *holdGuard) start() { g.sent = time.Now() }
+
+// pace is called after a pass in which nothing settled.
+func (g *holdGuard) pace(ctx context.Context, c *Client) error {
+	if time.Since(g.sent) >= longPollWait/2 {
+		g.attempt = 0
+		return ctx.Err()
+	}
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-time.After(c.backoff(g.attempt, nil)):
+	}
+	g.attempt++
+	return nil
 }
 
 // RunJob executes one job on the daemon to a terminal state and
@@ -542,22 +576,23 @@ func (c *Client) RunSweep(ctx context.Context, jobs []sweep.Job, progress func(s
 		}
 	}
 
-	ticker := time.NewTicker(c.pollInterval())
-	defer ticker.Stop()
 	done := 0
+	var hold holdGuard
 	for len(pending) > 0 {
-		// One ID-filtered list call per tick detects terminal jobs;
-		// only those get a detail fetch for the result — O(1 +
-		// finished) requests per tick instead of one per outstanding
-		// job, and no payload for other clients' jobs.
+		// One ID-filtered list long-poll per pass returns once a job
+		// is terminal or gone; only those get a detail fetch for the
+		// result — O(1 + finished) requests per pass instead of one
+		// per outstanding job, and no payload for other clients' jobs.
 		ids := make([]string, 0, len(pending))
 		for _, st := range pending {
 			ids = append(ids, st.ID)
 		}
-		listed, err := c.Jobs(ctx, ids...)
+		hold.start()
+		listed, err := c.waitJobs(ctx, ids)
 		if err != nil {
 			return abort(-1, err)
 		}
+		before := len(pending)
 		byID := make(map[string]server.JobStatus, len(listed))
 		for _, st := range listed {
 			byID[st.ID] = st
@@ -600,16 +635,22 @@ func (c *Client) RunSweep(ctx context.Context, jobs []sweep.Job, progress func(s
 				return abort(i, ev.Err)
 			}
 		}
-		if len(pending) == 0 {
-			break
-		}
-		select {
-		case <-ctx.Done():
-			return abort(-1, ctx.Err())
-		case <-ticker.C:
+		if len(pending) == before {
+			if err := hold.pace(ctx, c); err != nil {
+				return abort(-1, err)
+			}
 		}
 	}
 	return results, nil
+}
+
+// waitJobs long-polls the ID-filtered job list: the daemon answers once
+// at least one of ids is terminal or gone (evicted IDs are omitted).
+func (c *Client) waitJobs(ctx context.Context, ids []string) ([]server.JobStatus, error) {
+	path := "/v1/jobs?ids=" + url.QueryEscape(strings.Join(ids, ",")) + "&wait=" + longPollWait.String()
+	var resp server.SubmitResponse
+	err := c.do(ctx, http.MethodGet, path, nil, &resp)
+	return resp.Jobs, err
 }
 
 // finishedStatus resolves one outstanding job against the latest
@@ -645,7 +686,7 @@ func (c *Client) finishedStatus(ctx context.Context, sub server.JobStatus, byID 
 	return st, true, nil
 }
 
-func (c *Client) pollInterval() time.Duration {
+func (c *Client) backoffBase() time.Duration {
 	if c.PollInterval > 0 {
 		return c.PollInterval
 	}
@@ -739,13 +780,13 @@ func decodeAPIError(resp *http.Response) *APIError {
 }
 
 // backoff picks the wait before retry number attempt (0-based):
-// exponential with full jitter — uniform in (0, pollInterval·2^attempt],
+// exponential with full jitter — uniform in (0, PollInterval·2^attempt],
 // capped at MaxBackoff — so a fleet of clients hammering a saturated
 // daemon decorrelates instead of retrying in lockstep. The daemon's
 // Retry-After hint is a floor: when the server names the wait it needs,
 // jitter is added on top of it, never subtracted.
 func (c *Client) backoff(attempt int, err error) time.Duration {
-	base := c.pollInterval()
+	base := c.backoffBase()
 	ceil := c.MaxBackoff
 	if ceil <= 0 {
 		ceil = 5 * time.Second

@@ -49,7 +49,6 @@ func startDaemon(t *testing.T, cachePath string) (*Client, *server.Manager) {
 		ts.Close()
 	})
 	c := New(ts.URL)
-	c.PollInterval = 5 * time.Millisecond
 	return c, m
 }
 
@@ -115,7 +114,6 @@ func TestRunSweepLargerThanQueue(t *testing.T) {
 		ts.Close()
 	})
 	c := New(ts.URL)
-	c.PollInterval = 5 * time.Millisecond
 
 	var jobs []sweep.Job
 	for seed := uint64(0); seed < 6; seed++ {
@@ -255,7 +253,6 @@ func startDaemonWithRoot(t *testing.T, traceRoot string) *Client {
 		ts.Close()
 	})
 	c := New(ts.URL)
-	c.PollInterval = 5 * time.Millisecond
 	return c
 }
 

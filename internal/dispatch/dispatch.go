@@ -75,10 +75,6 @@ type Options struct {
 	// workers that hang without closing connections.
 	JobTimeout time.Duration
 
-	// PollInterval is the remote status-poll period (0 = client
-	// default). Tests shrink it.
-	PollInterval time.Duration
-
 	// MaxPerEndpoint clamps the probed per-endpoint capacity (0 = no
 	// clamp), for sharing a fleet politely.
 	MaxPerEndpoint int
@@ -360,9 +356,6 @@ func probe(ctx context.Context, opts Options) ([]*worker, []error) {
 			defer wg.Done()
 			cli := client.New(ep)
 			cli.Token = opts.Token
-			if opts.PollInterval > 0 {
-				cli.PollInterval = opts.PollInterval
-			}
 			pctx, cancel := context.WithTimeout(ctx, timeout)
 			defer cancel()
 			h, err := cli.Health(pctx)

@@ -113,11 +113,10 @@ func TestDistributedCampaignMatchesLocalRun(t *testing.T) {
 	var stats Stats
 	var events []sweep.Event
 	got, err := Run(context.Background(), jobs, Options{
-		Endpoints:    endpoints,
-		Cache:        cache,
-		PollInterval: 2 * time.Millisecond,
-		Stats:        &stats,
-		Progress:     func(ev sweep.Event) { events = append(events, ev) },
+		Endpoints: endpoints,
+		Cache:     cache,
+		Stats:     &stats,
+		Progress:  func(ev sweep.Event) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -215,10 +214,9 @@ func TestDistributedCampaignSurvivesWorkerLoss(t *testing.T) {
 	var stats Stats
 	var events []sweep.Event
 	got, err := Run(context.Background(), jobs, Options{
-		Endpoints:    endpoints,
-		PollInterval: 2 * time.Millisecond,
-		Stats:        &stats,
-		Progress:     func(ev sweep.Event) { events = append(events, ev) },
+		Endpoints: endpoints,
+		Stats:     &stats,
+		Progress:  func(ev sweep.Event) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatalf("campaign failed after worker loss: %v", err)
@@ -278,9 +276,8 @@ func TestDispatchFailoverFromBrokenEndpoint(t *testing.T) {
 	}
 	var stats Stats
 	got, err := Run(context.Background(), jobs, Options{
-		Endpoints:    []string{broken.URL, ts.URL},
-		PollInterval: 2 * time.Millisecond,
-		Stats:        &stats,
+		Endpoints: []string{broken.URL, ts.URL},
+		Stats:     &stats,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +360,7 @@ func TestDispatchTraceConfigs(t *testing.T) {
 
 	// No shared root, no local workers: reject before running anything.
 	plain, plainM := startWorker(t, server.ManagerConfig{Workers: 1})
-	_, err = Run(context.Background(), jobs, Options{Endpoints: []string{plain.URL}, PollInterval: 2 * time.Millisecond})
+	_, err = Run(context.Background(), jobs, Options{Endpoints: []string{plain.URL}})
 	if err == nil || !strings.Contains(err.Error(), "trace") {
 		t.Fatalf("trace config with no eligible worker: err = %v", err)
 	}
@@ -372,7 +369,7 @@ func TestDispatchTraceConfigs(t *testing.T) {
 	}
 
 	// Local workers can always run it.
-	got, err := Run(context.Background(), jobs, Options{Endpoints: []string{plain.URL}, LocalWorkers: 1, PollInterval: 2 * time.Millisecond})
+	got, err := Run(context.Background(), jobs, Options{Endpoints: []string{plain.URL}, LocalWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +379,7 @@ func TestDispatchTraceConfigs(t *testing.T) {
 
 	// An endpoint advertising a covering shared root runs it remotely.
 	rooted, rootedM := startWorker(t, server.ManagerConfig{Workers: 1, TraceRoot: shared})
-	got, err = Run(context.Background(), jobs, Options{Endpoints: []string{rooted.URL}, PollInterval: 2 * time.Millisecond})
+	got, err = Run(context.Background(), jobs, Options{Endpoints: []string{rooted.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,9 +404,8 @@ func TestDispatchSimulationFailure(t *testing.T) {
 	}
 	var stats Stats
 	_, err := Run(context.Background(), jobs, Options{
-		Endpoints:    []string{ts.URL},
-		PollInterval: 2 * time.Millisecond,
-		Stats:        &stats,
+		Endpoints: []string{ts.URL},
+		Stats:     &stats,
 	})
 	var jerr *sweep.JobError
 	if !errors.As(err, &jerr) {
@@ -438,7 +434,7 @@ func TestDispatchContextCancel(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		cancel()
 	}()
-	_, err := Run(ctx, jobs, Options{Endpoints: []string{ts.URL}, PollInterval: 2 * time.Millisecond})
+	_, err := Run(ctx, jobs, Options{Endpoints: []string{ts.URL}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled campaign returned %v, want context.Canceled", err)
 	}

@@ -120,7 +120,6 @@ func TestDispatchWorkerRejoinsMidCampaign(t *testing.T) {
 	var stats Stats
 	got, err := Run(context.Background(), jobs, Options{
 		Endpoints:         []string{aTS.URL, bTS.URL},
-		PollInterval:      2 * time.Millisecond,
 		ReprobeInterval:   50 * time.Millisecond,
 		BreakerProbeLimit: -1, // keep probing: the campaign cannot end without B
 		PoisonThreshold:   -1, // failed probes on the trace units are not poison
@@ -204,10 +203,9 @@ func TestDispatchHedgesStragglers(t *testing.T) {
 
 	var stats Stats
 	got, err := Run(context.Background(), jobs, Options{
-		Endpoints:    []string{fastTS.URL, slowTS.URL},
-		PollInterval: 2 * time.Millisecond,
-		HedgeAfter:   120 * time.Millisecond,
-		Stats:        &stats,
+		Endpoints:  []string{fastTS.URL, slowTS.URL},
+		HedgeAfter: 120 * time.Millisecond,
+		Stats:      &stats,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +256,6 @@ func TestDispatchPoisonQuarantine(t *testing.T) {
 	var stats Stats
 	_, err := Run(context.Background(), jobs, Options{
 		Endpoints:         []string{broken.URL},
-		PollInterval:      2 * time.Millisecond,
 		ReprobeInterval:   20 * time.Millisecond,
 		BreakerProbeLimit: -1, // quarantine, not probe exhaustion, must end this
 		Stats:             &stats,

@@ -199,7 +199,6 @@ func soakOnce(t *testing.T, seed uint64) {
 	defer cancel()
 	got, err := Run(ctx, jobs, Options{
 		Endpoints:         []string{aTS.URL, "http://" + addr, cTS.URL},
-		PollInterval:      3 * time.Millisecond,
 		ReprobeInterval:   40 * time.Millisecond,
 		BreakerProbeLimit: -1, // B must be probed until it returns
 		PoisonThreshold:   -1, // failed probes on B-only units are not poison

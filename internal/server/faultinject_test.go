@@ -76,7 +76,8 @@ func startFleetDaemon(t *testing.T, cfg server.ManagerConfig) *fiDaemon {
 	return d
 }
 
-// fiClient returns a fast-polling authenticated client for d.
+// fiClient returns an authenticated client for d whose retry backoff
+// starts at 5 ms, so the 429 storms below retry quickly.
 func fiClient(d *fiDaemon, token string) *client.Client {
 	c := client.New(d.ts.URL)
 	c.Token = token
@@ -668,7 +669,6 @@ func TestJournalCorruptionRecovery(t *testing.T) {
 	m1 := server.NewManager(server.ManagerConfig{Workers: 1, QueueDepth: 8, Cache: cache})
 	ts1 := httptest.NewServer(server.New(m1))
 	c1 := client.New(ts1.URL)
-	c1.PollInterval = 5 * time.Millisecond
 	st, err := c1.RunJob(ctx, server.JobSpec{Label: "gen1", Config: fiTiny(31)})
 	if err != nil {
 		t.Fatal(err)

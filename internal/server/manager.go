@@ -99,14 +99,14 @@ type JobSpec struct {
 // populated only on done jobs, and only by the detail/terminal paths
 // (job GET, final SSE event), not by listings.
 type JobStatus struct {
-	ID          string      `json:"id"`
-	Label       string      `json:"label,omitempty"`
-	Tenant      string      `json:"tenant,omitempty"` // owning tenant ("" in open mode)
-	Key         string      `json:"key,omitempty"` // content address of the config
-	State       JobState    `json:"state"`
-	Cached      bool        `json:"cached,omitempty"`  // served from the persistent cache
-	Deduped     bool        `json:"deduped,omitempty"` // attached to another job's in-flight run
-	Error       string      `json:"error,omitempty"`
+	ID      string   `json:"id"`
+	Label   string   `json:"label,omitempty"`
+	Tenant  string   `json:"tenant,omitempty"` // owning tenant ("" in open mode)
+	Key     string   `json:"key,omitempty"`    // content address of the config
+	State   JobState `json:"state"`
+	Cached  bool     `json:"cached,omitempty"`  // served from the persistent cache
+	Deduped bool     `json:"deduped,omitempty"` // attached to another job's in-flight run
+	Error   string   `json:"error,omitempty"`
 	// Reason is the machine-readable cause of a terminal failure
 	// (ReasonDeadline, ReasonQuarantined) so fleet schedulers classify
 	// failures without parsing Error strings.
@@ -137,6 +137,7 @@ type job struct {
 	finishedAt  time.Time
 	elapsed     time.Duration
 	result      *sim.Result
+	served      bool // a status route has answered with the terminal status
 
 	events  []jobEvent // status history, the SSE resume source
 	subs    map[int]chan jobEvent
@@ -280,6 +281,13 @@ type Manager struct {
 	nextID   uint64
 	slots    int // live worker goroutines, local + remote; remote slots retire on peer loss
 
+	// settled is closed and replaced on every terminal transition and
+	// every eviction (wakeLocked); status long-polls wait on it.
+	settled chan struct{}
+	// parkedHook, when set (tests only, before serving), runs each time
+	// a status long-poll blocks waiting for a job to settle.
+	parkedHook func()
+
 	// quarantined maps content-address keys of poison jobs to the
 	// human-readable quarantine cause; resubmissions fail fast.
 	quarantined map[string]string
@@ -362,6 +370,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		sched:       newSchedQueue(depth),
 		tstats:      map[string]*tenantCounters{},
 		quarantined: map[string]string{},
+		settled:     make(chan struct{}),
 	}
 	m.qcond = sync.NewCond(&m.mu)
 	if cfg.Cache != nil {
@@ -499,7 +508,7 @@ func (m *Manager) SubmitAs(caller Tenant, specs []JobSpec) ([]JobStatus, error) 
 		}
 		// Hash outside the lock: keys are a pure function of the spec,
 		// and marshal+SHA-256 per config would otherwise stall every
-		// status poll and completing flight behind this batch.
+		// status request and completing flight behind this batch.
 		if key, err := sweep.Key(spec.Config); err == nil {
 			keys[i] = key
 		}
@@ -825,20 +834,6 @@ func (m *Manager) JobsAs(caller Tenant) []JobStatus {
 	out := make([]JobStatus, 0, len(m.order))
 	for _, id := range m.order {
 		if j := m.jobs[id]; m.canSeeLocked(caller, j) {
-			out = append(out, m.statusLocked(j, false))
-		}
-	}
-	return out
-}
-
-// JobsByIDAs is JobsByID scoped to caller's visibility; invisible IDs
-// are omitted exactly like unknown ones.
-func (m *Manager) JobsByIDAs(caller Tenant, ids []string) []JobStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]JobStatus, 0, len(ids))
-	for _, id := range ids {
-		if j, ok := m.jobs[id]; ok && m.canSeeLocked(caller, j) {
 			out = append(out, m.statusLocked(j, false))
 		}
 	}
@@ -1425,7 +1420,7 @@ func (m *Manager) retireSlot(f *flight) (last bool) {
 		return last
 	}
 	if !last && !m.draining && m.sched.total < m.sched.capacity {
-		// Hand-back visible to pollers/SSE as running -> queued.
+		// Hand-back visible to status readers/SSE as running -> queued.
 		f.state = StateQueued
 		for _, j := range f.jobs {
 			if j.state == StateRunning {
@@ -1565,7 +1560,10 @@ func (m *Manager) dropFlightLocked(f *flight) {
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention
 // cap, keeping the long-running daemon's memory bounded. Live jobs
-// are always kept; evicted results stay reachable via the cache.
+// are always kept; evicted results stay reachable via the cache. An
+// eviction wakes long-poll waiters too, since a job that is gone has
+// settled — a backstop, as each evicted job already woke them when it
+// turned terminal.
 func (m *Manager) pruneLocked() {
 	terminal := 0
 	for _, id := range m.order {
@@ -1586,6 +1584,7 @@ func (m *Manager) pruneLocked() {
 		keep = append(keep, id)
 	}
 	m.order = keep
+	m.wakeLocked()
 }
 
 // Drain gracefully shuts the manager down: new submissions fail with

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -387,7 +388,7 @@ func TestTenantVisibility(t *testing.T) {
 	if jobs := m.JobsAs(fleet); len(jobs) != 3 {
 		t.Errorf("gateway sees %d jobs, want 3", len(jobs))
 	}
-	if got := m.JobsByIDAs(b, []string{aj[0].ID, bj[0].ID}); len(got) != 1 {
+	if got := m.WaitJobsByIDAs(context.Background(), b, []string{aj[0].ID, bj[0].ID}, 0); len(got) != 1 {
 		t.Errorf("filtered bulk lookup returned %d jobs, want 1", len(got))
 	}
 }

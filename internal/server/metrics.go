@@ -2,6 +2,7 @@ package server
 
 import (
 	"sort"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/prof"
@@ -36,11 +37,77 @@ type counters struct {
 	analysisReports uint64
 	analysisTotals  analysis.Totals
 
+	// stages are the per-job latency distributions of /metrics.
+	stages struct{ queueWait, run, served latencyHist }
+
 	// perWorker breaks flight resolution down by executing slot:
 	// "local", "cache" (journal-replayed submission hits), or a peer
 	// name. Phase attribution aggregates the sampled PhaseProfile of
 	// every report the worker produced.
 	perWorker map[string]*workerStats
+}
+
+// stageBoundsMs are the upper bucket bounds shared by every stage
+// histogram: log-spaced 1-2.5-5 steps from 0.1 ms to 100 s, plus an
+// overflow bucket beyond the last.
+var stageBoundsMs = [...]float64{
+	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500,
+	1000, 2500, 5000, 10000, 25000, 50000, 100000,
+}
+
+// latencyHist counts latencies into the stageBoundsMs buckets; the
+// last bucket is the overflow.
+type latencyHist struct {
+	counts [len(stageBoundsMs) + 1]uint64
+	sum    time.Duration
+}
+
+// observe counts one latency d into its bucket: the first whose bound is
+// at least d (negative durations from clock steps count as zero).
+func (h *latencyHist) observe(d time.Duration) {
+	d = max(d, 0)
+	ms := float64(d) / float64(time.Millisecond)
+	i := sort.SearchFloat64s(stageBoundsMs[:], ms)
+	h.counts[i]++
+	h.sum += d
+}
+
+// snapshot renders the histogram for the wire.
+func (h *latencyHist) snapshot() LatencyHistogram {
+	out := LatencyHistogram{
+		BoundsMs: append([]float64(nil), stageBoundsMs[:]...),
+		Counts:   append([]uint64(nil), h.counts[:]...),
+		SumMs:    float64(h.sum) / float64(time.Millisecond),
+	}
+	for _, n := range h.counts {
+		out.Count += n
+	}
+	return out
+}
+
+// LatencyHistogram is one job-lifecycle stage's latency distribution.
+// Counts[i] is the number of jobs whose latency was at most BoundsMs[i]
+// and above BoundsMs[i-1]; the extra last count is the overflow above
+// the largest bound.
+type LatencyHistogram struct {
+	BoundsMs []float64 `json:"bounds_ms"`
+	Counts   []uint64  `json:"counts"`
+	Count    uint64    `json:"count"`
+	SumMs    float64   `json:"sum_ms"`
+}
+
+// StageMetrics breaks a job's life into stages, one histogram each.
+type StageMetrics struct {
+	// QueueWait is StartedAt - SubmittedAt, for every job that started
+	// and then finished done or failed.
+	QueueWait LatencyHistogram `json:"queue_wait"`
+	// Run is FinishedAt - StartedAt for the same jobs.
+	Run LatencyHistogram `json:"run"`
+	// FinishedToServed runs from FinishedAt until a status route
+	// (GET /v1/jobs/{id} or GET /v1/jobs?ids=) first answers with the
+	// job's terminal status: how long a finished result waited for its
+	// client.
+	FinishedToServed LatencyHistogram `json:"finished_to_served"`
 }
 
 // workerStats is one execution slot's share of the fleet aggregates.
@@ -135,6 +202,9 @@ type Metrics struct {
 	// Analysis aggregates the perf-analyzer totals of every completed
 	// analysis-enabled flight; absent until one completes.
 	Analysis *AnalysisMetrics `json:"analysis,omitempty"`
+
+	// Stages holds the per-stage latency histograms of every job.
+	Stages StageMetrics `json:"stages"`
 
 	// Workers breaks flight resolution down per execution slot, with
 	// per-phase wall-clock attribution when the configs enabled
@@ -251,6 +321,11 @@ func (m *Manager) Metrics() Metrics {
 		PoisonQuarantined: m.counters.quarantined,
 		DeadlineExpired:   m.counters.deadlineExpired,
 		DeadlineShed:      m.counters.deadlineShed,
+		Stages: StageMetrics{
+			QueueWait:        m.counters.stages.queueWait.snapshot(),
+			Run:              m.counters.stages.run.snapshot(),
+			FinishedToServed: m.counters.stages.served.snapshot(),
+		},
 	}
 	if total := s.CacheHits + s.SimulationsRun + s.RemoteSimulations; total > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(total)

@@ -17,8 +17,11 @@ import (
 // Server exposes a Manager as a JSON HTTP API:
 //
 //	POST   /v1/jobs            submit one config or a batch -> job IDs
-//	GET    /v1/jobs            list all jobs (no result payloads)
-//	GET    /v1/jobs/{id}       status + result when done
+//	GET    /v1/jobs            list all jobs (no result payloads);
+//	                           ?ids=a,b filters, and with &wait=25s
+//	                           long-polls until one is terminal or gone
+//	GET    /v1/jobs/{id}       status + result when done; ?wait=25s
+//	                           long-polls until terminal or evicted
 //	GET    /v1/jobs/{id}/events  Server-Sent Events progress stream
 //	DELETE /v1/jobs/{id}       cancel
 //	GET    /v1/results         list stored content-address keys
@@ -200,17 +203,37 @@ func writeQuotaError(w http.ResponseWriter, qe *QuotaError) {
 
 // handleListJobs returns all retained jobs, or — with ?ids=a,b,c —
 // only the named ones (unknown/evicted IDs are silently omitted, so
-// pollers can detect eviction as absence).
+// clients detect eviction as absence). With ids, wait=<duration>
+// holds the request until at least one named job is terminal or gone.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	if raw := r.URL.Query().Get("ids"); raw != "" {
-		writeJSON(w, http.StatusOK, SubmitResponse{Jobs: s.manager.JobsByIDAs(caller(r), strings.Split(raw, ","))})
+	wait, err := parseWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, SubmitResponse{Jobs: s.manager.JobsAs(caller(r))})
+	raw := r.URL.Query().Get("ids")
+	if raw == "" {
+		if wait > 0 {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("server: wait= needs ids= to name the jobs to wait for"))
+			return
+		}
+		writeJSON(w, http.StatusOK, SubmitResponse{Jobs: s.manager.JobsAs(caller(r))})
+		return
+	}
+	jobs := s.manager.WaitJobsByIDAs(r.Context(), caller(r), strings.Split(raw, ","), wait)
+	writeJSON(w, http.StatusOK, SubmitResponse{Jobs: jobs})
 }
 
+// handleJob returns one job's status, result included when done. With
+// wait=<duration> it holds the request until the job is terminal or
+// evicted.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	st, err := s.manager.JobAs(caller(r), r.PathValue("id"))
+	wait, err := parseWait(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	st, err := s.manager.WaitJobAs(r.Context(), caller(r), r.PathValue("id"), wait)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return

@@ -98,13 +98,17 @@ func submitHTTP(t *testing.T, d *testDaemon, specs ...JobSpec) []JobStatus {
 	return resp.Jobs
 }
 
+// pollDone long-polls job id until it is terminal and returns its
+// final status, failing the test unless it finished done.
 func pollDone(t *testing.T, d *testDaemon, id string) JobStatus {
 	t.Helper()
+	// One long-poll normally suffices; the loop only covers a job that
+	// outlives MaxLongPoll on a very slow runner.
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
 		var st JobStatus
-		if code := doJSON(t, http.MethodGet, d.url("/v1/jobs/"+id), nil, &st); code != http.StatusOK {
-			t.Fatalf("poll %s: HTTP %d", id, code)
+		if code := doJSON(t, http.MethodGet, d.url("/v1/jobs/"+id+"?wait=30s"), nil, &st); code != http.StatusOK {
+			t.Fatalf("long-poll %s: HTTP %d", id, code)
 		}
 		if st.State.Terminal() {
 			if st.State != StateDone {
@@ -112,7 +116,6 @@ func pollDone(t *testing.T, d *testDaemon, id string) JobStatus {
 			}
 			return st
 		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("job %s never finished", id)
 	return JobStatus{}
@@ -133,7 +136,7 @@ func localRun(t *testing.T, cfg sim.Config) sim.Result {
 }
 
 // TestHTTPSubmitPollResult is the basic lifecycle: submit one config,
-// poll to completion, and check the returned result is bit-identical
+// long-poll to completion, and check the returned result is bit-identical
 // to a local run, reachable both via the job and via its
 // content-address key.
 func TestHTTPSubmitPollResult(t *testing.T) {

@@ -65,8 +65,8 @@ func (m *Manager) Subscribe(id string, afterSeq uint64) ([]jobEvent, <-chan jobE
 }
 
 // notifyLocked records j's current status in its event history and fans
-// it out to subscribers, closing every channel when the state is
-// terminal. Callers hold m.mu.
+// it out to subscribers, closing every channel — and settling the job
+// for long-poll waiters — when the state is terminal. Callers hold m.mu.
 func (m *Manager) notifyLocked(j *job) {
 	ev := m.recordEventLocked(j, m.statusLocked(j, j.state.Terminal()))
 	for _, ch := range j.subs {
@@ -80,6 +80,7 @@ func (m *Manager) notifyLocked(j *job) {
 			close(ch)
 			delete(j.subs, sub)
 		}
+		m.settleLocked(j)
 	}
 }
 
