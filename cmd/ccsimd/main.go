@@ -15,19 +15,13 @@
 // GET /dashboard — an embedded live HTML dashboard with campaign
 // progress, throughput and live row-hit-rate sparklines.
 //
-// -peers b:8344,c:8344 makes this daemon front a fleet: each reachable
-// peer contributes its advertised worker capacity to this daemon's
-// pool, so clients keep talking to one address while jobs execute
-// across every machine. A peer that dies mid-job hands the job back to
-// the queue; a crashed-then-restarted peer rejoins through its circuit
-// breaker, -hedge-after races a local backup against straggling peer
-// flights, -poison-threshold quarantines jobs that keep killing
-// workers, and result-cache/journal write failures degrade to
-// memory-only storage (see README "Resilience") instead of failing
-// jobs. -workers -1 turns the front into a pure dispatcher that
-// runs nothing locally. -trace-root DIR advertises a directory shared
-// with clients (and peers), enabling trace-file configs whose absolute
-// paths live under it.
+// One daemon runs one machine's jobs. To spread a campaign over several
+// daemons, point ccsim -servers (or experiments -servers) at them; see
+// README "Distributed campaigns". Result-cache/journal write failures
+// degrade to memory-only storage (see README "Resilience") instead of
+// failing jobs. -trace-root DIR advertises a directory shared with
+// clients, enabling trace-file configs whose absolute paths live under
+// it.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: intake stops, queued
 // jobs are canceled, running simulations drain within -grace.
@@ -47,8 +41,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/client"
-	"repro/internal/dispatch"
 	"repro/internal/server"
 	"repro/internal/sweep"
 	"repro/internal/version"
@@ -66,17 +58,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ccsimd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8344", "HTTP listen address")
-	workers := fs.Int("workers", 0, "concurrent local simulations (0 = GOMAXPROCS, -1 = none: pure dispatch front, needs -peers)")
+	workers := fs.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 64, "max queued simulations before submissions get HTTP 429")
 	retain := fs.Int("retain", 1024, "finished jobs kept queryable; older ones are evicted (results stay in the cache)")
 	results := fs.String("results", "ccsimd-results.json", "persistent JSON result cache; empty disables persistence")
-	peers := fs.String("peers", "", "comma-separated peer ccsimd URLs: this daemon fronts them, dispatching queued jobs to their worker pools")
-	peerToken := fs.String("peer-token", "", "bearer token sent to -peers daemons (defaults to $CCSIMD_PEER_TOKEN)")
 	tenants := fs.String("tenants", "", "tenant registry JSON file ({\"tenants\":[{\"name\":...,\"token\":...,\"weight\":...,...}]}); enables bearer-token auth, per-tenant quotas and fair-share scheduling")
 	hotResults := fs.Int("hot-results", 0, "hot in-memory LRU entries fronting the result cache (0 = 256)")
 	traceRoot := fs.String("trace-root", "", "advertise DIR as a trace directory shared with clients: trace-file configs under it are accepted")
-	hedgeAfter := fs.Duration("hedge-after", 0, "hedge a straggling peer flight with a local backup after this long (0 = off; needs local workers)")
-	poison := fs.Int("poison-threshold", 0, "quarantine a job after its execution kills this many workers (0 = default 3, negative = never)")
 	storageProbe := fs.Duration("storage-probe-interval", 0, "how often degraded (memory-only) storage re-probes the disk for automatic restore (0 = default 1s)")
 	grace := fs.Duration("grace", time.Minute, "graceful-shutdown budget for draining running jobs")
 	showVersion := fs.Bool("version", false, "print version and exit")
@@ -87,12 +75,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "ccsimd %s\n", version.String())
 		return 0
 	}
-	if *workers < 0 && *workers != server.NoLocalWorkers {
-		fmt.Fprintf(stderr, "ccsimd: -workers must be >= 0, or -1 for a pure dispatch front\n")
-		return 2
-	}
-	if *workers == server.NoLocalWorkers && *peers == "" {
-		fmt.Fprintf(stderr, "ccsimd: -workers -1 (no local execution) needs -peers to have any capacity\n")
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "ccsimd: -workers must be >= 0\n")
 		return 2
 	}
 
@@ -107,34 +91,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	if registry != nil {
 		fmt.Fprintf(stderr, "ccsimd: tenant registry: %d tenant(s), bearer auth required on /v1\n", len(registry.TenantNames()))
-	}
-
-	if *peerToken == "" {
-		*peerToken = os.Getenv("CCSIMD_PEER_TOKEN")
-	}
-	var remotes []server.Remote
-	for _, p := range dispatch.SplitEndpoints(*peers) {
-		peer := client.New(p)
-		peer.Token = *peerToken
-		pctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		h, err := peer.Health(pctx)
-		cancel()
-		if err != nil {
-			fmt.Fprintf(stderr, "ccsimd: WARNING: peer %s failed its health probe, skipping: %v\n", p, err)
-			continue
-		}
-		slots := h.Workers
-		if slots < 1 {
-			slots = 1
-		}
-		pr := client.NewPeer(p, slots)
-		pr.Token = *peerToken
-		remotes = append(remotes, pr)
-		fmt.Fprintf(stderr, "ccsimd: peer %s: %d slot(s), version %s\n", peer.Base(), slots, h.Version)
-	}
-	if *workers == server.NoLocalWorkers && len(remotes) == 0 {
-		fmt.Fprintf(stderr, "ccsimd: no local workers and no reachable peers; refusing to accept jobs that would never run\n")
-		return 1
 	}
 
 	root := *traceRoot
@@ -166,12 +122,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		QueueDepth:           *queue,
 		Cache:                cache,
 		Retention:            *retain,
-		Remotes:              remotes,
 		Tenants:              registry,
 		HotResults:           *hotResults,
 		TraceRoot:            root,
-		HedgeAfter:           *hedgeAfter,
-		PoisonThreshold:      *poison,
 		StorageProbeInterval: *storageProbe,
 	})
 	httpSrv := &http.Server{Handler: server.New(manager)}

@@ -46,9 +46,32 @@ func TestVersionFlag(t *testing.T) {
 	}
 }
 
+// TestBadFlag pins the usage errors that exit 2 before the daemon
+// starts: undefined flags (including the removed -peers) and negative
+// worker counts.
 func TestBadFlag(t *testing.T) {
-	if code := run(context.Background(), []string{"-no-such-flag"}, io.Discard, io.Discard); code != 2 {
-		t.Fatalf("bad flag exited %d, want 2", code)
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-peers", "x"},
+	} {
+		if code := run(context.Background(), args, io.Discard, io.Discard); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
+	}
+}
+
+// TestPureFrontNeedsPeers: a negative worker count is a usage error,
+// and so is pairing it with -peers, since the daemon no longer has a
+// dispatch-only front mode.
+func TestPureFrontNeedsPeers(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workers", "-1"},
+		{"-workers", "-7"},
+		{"-workers", "-1", "-peers", "http://127.0.0.1:1"},
+	} {
+		if code := run(context.Background(), args, io.Discard, io.Discard); code != 2 {
+			t.Errorf("%v exited %d, want 2", args, code)
+		}
 	}
 }
 
@@ -83,103 +106,6 @@ func startDaemon(t *testing.T, args ...string) (string, func()) {
 			t.Fatalf("daemon never reported its address; stderr:\n%s", stderr.String())
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestPureFrontNeedsPeers pins the -workers -1 guardrails: a dispatch
-// front with no peers would accept jobs that never run.
-func TestPureFrontNeedsPeers(t *testing.T) {
-	if code := run(context.Background(), []string{"-workers", "-1"}, io.Discard, io.Discard); code != 2 {
-		t.Fatalf("-workers -1 without -peers exited %d, want 2", code)
-	}
-	if code := run(context.Background(), []string{"-workers", "-7"}, io.Discard, io.Discard); code != 2 {
-		t.Fatalf("-workers -7 exited %d, want 2", code)
-	}
-	// Unreachable peers leave a pure front with zero capacity: refuse.
-	var stderr bytes.Buffer
-	if code := run(context.Background(), []string{"-workers", "-1", "-peers", "http://127.0.0.1:1"}, io.Discard, &stderr); code != 1 {
-		t.Fatalf("pure front with dead peer exited %d, want 1; stderr:\n%s", code, stderr.String())
-	}
-}
-
-// TestPeersFleet boots a backend daemon and a pure dispatch front
-// pointed at it, submits a job to the front, and expects the backend to
-// execute it.
-func TestPeersFleet(t *testing.T) {
-	backendURL, stopBackend := startDaemon(t, "-results", filepath.Join(t.TempDir(), "backend.json"), "-workers", "2")
-	defer stopBackend()
-	frontURL, stopFront := startDaemon(t, "-results", filepath.Join(t.TempDir(), "front.json"), "-workers", "-1", "-peers", backendURL)
-	defer stopFront()
-
-	cfg := sim.DefaultConfig("lbm")
-	cfg.WarmupInstructions = 10_000
-	cfg.RunInstructions = 20_000
-	blob, err := json.Marshal(map[string]any{"label": "fleet", "config": cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(frontURL+"/v1/jobs", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sub struct {
-		Jobs []struct {
-			ID string `json:"id"`
-		} `json:"jobs"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted || len(sub.Jobs) != 1 {
-		t.Fatalf("submit: HTTP %d, %+v", resp.StatusCode, sub)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := http.Get(frontURL + "/v1/jobs/" + sub.Jobs[0].ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st struct {
-			State  string          `json:"state"`
-			Error  string          `json:"error"`
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		switch st.State {
-		case "done":
-			if len(st.Result) == 0 {
-				t.Fatal("done job has no result")
-			}
-			// The front ran nothing locally: the simulation happened on
-			// the backend.
-			var met struct {
-				Remote uint64 `json:"remote_simulations"`
-				Local  uint64 `json:"simulations_run"`
-			}
-			mresp, err := http.Get(frontURL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.NewDecoder(mresp.Body).Decode(&met); err != nil {
-				t.Fatal(err)
-			}
-			mresp.Body.Close()
-			if met.Remote != 1 || met.Local != 0 {
-				t.Errorf("front metrics: remote=%d local=%d, want 1/0", met.Remote, met.Local)
-			}
-			return
-		case "failed", "canceled":
-			t.Fatalf("job %s: %s", st.State, st.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

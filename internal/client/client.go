@@ -400,7 +400,7 @@ func (g *holdGuard) pace(ctx context.Context, c *Client) error {
 
 // RunJob executes one job on the daemon to a terminal state and
 // returns its final status, result included. It is the unit of work of
-// fleet execution (internal/dispatch, ccsimd -peers): submission backs
+// fleet execution (internal/dispatch): submission backs
 // off while the daemon's queue is full, a job evicted from the
 // retention window falls back to the content-addressed result cache,
 // and cancelling ctx cancels the remote job best-effort. A job that
@@ -471,34 +471,6 @@ func (c *Client) waitOrRecover(ctx context.Context, sub server.JobStatus) (serve
 	st.Cached = true
 	st.Result = &res
 	return st, nil
-}
-
-// Peer adapts a Client to the server.Remote interface, letting one
-// ccsimd daemon front a fleet (-peers): the front daemon's manager
-// dedicates Slots concurrent executions to this peer.
-type Peer struct {
-	*Client
-	slots int
-}
-
-// NewPeer wraps the daemon at baseURL as a fleet backend contributing
-// slots concurrent executions (at least 1).
-func NewPeer(baseURL string, slots int) *Peer {
-	if slots < 1 {
-		slots = 1
-	}
-	return &Peer{Client: New(baseURL), slots: slots}
-}
-
-// Name implements server.Remote.
-func (p *Peer) Name() string { return p.Base() }
-
-// Slots implements server.Remote.
-func (p *Peer) Slots() int { return p.slots }
-
-// Run implements server.Remote.
-func (p *Peer) Run(ctx context.Context, spec server.JobSpec) (server.JobStatus, error) {
-	return p.RunJob(ctx, spec)
 }
 
 // RunSweep executes jobs on the daemon and returns results in input

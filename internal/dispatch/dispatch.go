@@ -1016,8 +1016,7 @@ func (d *dispatcher) report(u *unit, res sim.Result, cached, fromLocalCache bool
 
 // SplitEndpoints parses a comma-separated endpoint list flag
 // ("host1:8344, host2:8344") into trimmed, non-empty entries — the
-// shared parser behind ccsim -servers, experiments -servers, and
-// ccsimd -peers.
+// shared parser behind ccsim -servers and experiments -servers.
 func SplitEndpoints(s string) []string {
 	var out []string
 	for _, p := range strings.Split(s, ",") {

@@ -440,7 +440,7 @@ func TestDispatchContextCancel(t *testing.T) {
 	}
 }
 
-// TestSplitEndpoints pins the shared -servers/-peers flag parsing:
+// TestSplitEndpoints pins the shared -servers flag parsing:
 // whitespace-tolerant, empty entries dropped.
 func TestSplitEndpoints(t *testing.T) {
 	got := SplitEndpoints(" a:8344, b:8344 ,,c ")

@@ -5,7 +5,6 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,42 +21,28 @@ func analysisCfg(seed uint64) sim.Config {
 	return cfg
 }
 
-// TestMetricsCacheHitRate is the regression test for the CacheHitRate
-// formula: remote simulations are resolutions too, so they belong in
-// the denominator. One flight runs on a peer, a second identical
-// submission hits the cache — the rate must be 1/2, not the 1/1 the
-// old doc comment (cache_hits / (cache_hits + simulations_run))
-// implied.
+// TestMetricsCacheHitRate pins the CacheHitRate formula: one flight
+// simulates, a second identical submission hits the cache, so the rate
+// is cache_hits / (cache_hits + simulations_run) = 1/2.
 func TestMetricsCacheHitRate(t *testing.T) {
 	cache, err := sweep.OpenCache(filepath.Join(t.TempDir(), "results.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ran atomic.Int64
-	m := NewManager(ManagerConfig{
-		Workers: NoLocalWorkers,
-		Remotes: []Remote{simulatingRemote("peer-a", 1, &ran)},
-		Cache:   cache,
-	})
+	m := NewManager(ManagerConfig{Workers: 1, Cache: cache})
 	defer drainManager(t, m)
 
 	cfg := tinyCfg(401)
-	first := submitOne(t, m, "remote", cfg)
+	first := submitOne(t, m, "fresh", cfg)
 	waitState(t, m, first, StateDone)
-	// Same config again: the flight's result is already in the in-memory
-	// cache, so this resolves as a cache hit without touching the peer.
+	// Same config again: the flight's result is already in the result
+	// store, so this resolves as a cache hit without simulating.
 	second := submitOne(t, m, "cached", cfg)
 	waitState(t, m, second, StateDone)
 
 	met := m.Metrics()
-	if met.RemoteSimulations != 1 || met.SimulationsRun != 0 || met.CacheHits != 1 {
-		t.Fatalf("remote=%d local=%d hits=%d, want 1/0/1",
-			met.RemoteSimulations, met.SimulationsRun, met.CacheHits)
-	}
-	want := float64(met.CacheHits) / float64(met.CacheHits+met.SimulationsRun+met.RemoteSimulations)
-	if met.CacheHitRate != want {
-		t.Errorf("cache_hit_rate = %g, want %g (remote simulations must count as resolutions)",
-			met.CacheHitRate, want)
+	if met.SimulationsRun != 1 || met.CacheHits != 1 {
+		t.Fatalf("simulations=%d hits=%d, want 1/1", met.SimulationsRun, met.CacheHits)
 	}
 	if met.CacheHitRate != 0.5 {
 		t.Errorf("cache_hit_rate = %g, want 0.5", met.CacheHitRate)
@@ -71,6 +56,7 @@ func TestMetricsCacheHitRate(t *testing.T) {
 // still queued, job without analysis — is a distinct 404.
 func TestHTTPAnalysisEndpoint(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
+	release := holdFlights(t, d.m)
 
 	cfg := analysisCfg(410)
 	id := submitHTTP(t, d, JobSpec{Label: "analyzed", Config: cfg})[0].ID
@@ -123,12 +109,13 @@ func TestHTTPAnalysisEndpoint(t *testing.T) {
 	if apiErr.Error == "" {
 		t.Error("analysis-less 404 carries no explanation")
 	}
-	// Job not finished yet: queue one behind a blocker.
-	blocker := submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0].ID
+	// Job not finished yet: queue one behind a held blocker.
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0].ID
 	queued := submitHTTP(t, d, JobSpec{Config: analysisCfg(412)})[0].ID
 	if code := doJSON(t, http.MethodGet, d.url("/v1/analysis/"+queued), nil, &apiErr); code != http.StatusNotFound {
 		t.Errorf("queued job: HTTP %d, want 404", code)
 	}
+	release()
 	pollDone(t, d, blocker)
 	pollDone(t, d, queued)
 }
@@ -218,7 +205,8 @@ func (w *noFlushWriter) WriteHeader(code int)        { w.rec.WriteHeader(code) }
 // explicit 500 instead of silently serving a stream that never moves.
 func TestHTTPSSENonFlushableWriter(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
-	blocker := submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0]
+	release := holdFlights(t, d.m)
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0]
 
 	req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+blocker.ID+"/events", nil)
 	w := &noFlushWriter{rec: httptest.NewRecorder()}
@@ -229,6 +217,7 @@ func TestHTTPSSENonFlushableWriter(t *testing.T) {
 	if w.rec.Body.Len() == 0 {
 		t.Error("500 response carries no error body")
 	}
+	release()
 	pollDone(t, d, blocker.ID)
 }
 

@@ -1,9 +1,9 @@
 // Fault-injection harness for the multi-tenant gateway: a 3-tenant
-// campaign over a 3-daemon fleet with a peer killed mid-flight, a
-// rate-limited tenant, a stalled SSE consumer, wire-level chaos
-// (dropped / stalled / half-written responses, 401/403/429 storms) and
-// journal corruption — asserting byte-identical results, exactly-once
-// simulation, and quota invariants throughout.
+// campaign against one gateway daemon with a rate-limited tenant, a
+// stalled SSE consumer, wire-level chaos (dropped / stalled /
+// half-written responses, 401/403/429 storms) and journal corruption —
+// asserting byte-identical results, exactly-once simulation, and quota
+// invariants throughout.
 //
 // External test package: it drives the daemon through internal/client
 // (which imports internal/server), exactly like production traffic.
@@ -41,9 +41,9 @@ func fiTiny(seed uint64) sim.Config {
 	return cfg
 }
 
-// fiMedium is a ~100ms simulation: long enough that a peer killed a few
-// hundred ms into the campaign is overwhelmingly likely to be holding a
-// flight, short enough to keep the campaign seconds-scale.
+// fiMedium is a ~100ms simulation: long enough that tenants' queues
+// fill and the MaxQueued quota bites, short enough to keep the campaign
+// seconds-scale.
 func fiMedium(seed uint64) sim.Config {
 	cfg := fiTiny(seed)
 	cfg.RunInstructions = 2_000_000
@@ -57,7 +57,7 @@ func fiAnalysis(seed uint64) sim.Config {
 	return cfg
 }
 
-// fiDaemon is one daemon of the fleet under test.
+// fiDaemon is one daemon under test.
 type fiDaemon struct {
 	ts *httptest.Server
 	m  *server.Manager
@@ -85,7 +85,7 @@ func fiClient(d *fiDaemon, token string) *client.Client {
 	return c
 }
 
-// fiBaseline computes the local sweep.Run reference result the fleet
+// fiBaseline computes the local sweep.Run reference result the daemon
 // must reproduce byte-identically.
 func fiBaseline(t *testing.T, cfg sim.Config) sim.Result {
 	t.Helper()
@@ -130,31 +130,13 @@ func dumpFaultArtifacts(t *testing.T, d *fiDaemon, journalPath string) {
 
 // TestFleetFaultCampaign is the flagship end-to-end: three tenants
 // (alice: weight 2; bob: rate-limited at 0.5 submissions/s; carol:
-// max 2 queued jobs, priority 1) run overlapping campaigns against a
-// front daemon fronting two peers — one peer requiring gateway auth,
-// the other killed mid-flight — while one SSE consumer sits on a job's
-// event stream without ever reading it. Every result must match a
-// local sweep.Run byte-for-byte, every distinct config must simulate
-// exactly once fleet-wide (as accounted by the front), and per-tenant
-// quota invariants must hold at every metrics observation.
+// max 2 queued jobs, priority 1) run overlapping campaigns against one
+// gateway daemon while one SSE consumer sits on a job's event stream
+// without ever reading it. Every result must match a local sweep.Run
+// byte-for-byte, every distinct config must simulate exactly once, and
+// per-tenant quota invariants must hold at every metrics observation.
 func TestFleetFaultCampaign(t *testing.T) {
-	// Two peers: peer1 behind a gateway-tenant registry (the front must
-	// authenticate and forward the original caller's tenant), peer2 in
-	// open mode, doomed to die mid-campaign.
-	peer1Reg, err := server.NewRegistry([]server.Tenant{
-		{Name: "fleet", Token: "tok-fleet", Gateway: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	peer1 := startFleetDaemon(t, server.ManagerConfig{Workers: 1, QueueDepth: 16, Tenants: peer1Reg})
-	peer2 := startFleetDaemon(t, server.ManagerConfig{Workers: 1, QueueDepth: 16})
-
-	pr1 := client.NewPeer(peer1.ts.URL, 1)
-	pr1.Token = "tok-fleet"
-	pr2 := client.NewPeer(peer2.ts.URL, 1)
-
-	frontReg, err := server.NewRegistry([]server.Tenant{
+	reg, err := server.NewRegistry([]server.Tenant{
 		{Name: "alice", Token: "tok-alice", Weight: 2},
 		{Name: "bob", Token: "tok-bob", RatePerSec: 0.5, Burst: 1},
 		{Name: "carol", Token: "tok-carol", MaxQueued: 2, Priority: 1},
@@ -167,19 +149,18 @@ func TestFleetFaultCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := startFleetDaemon(t, server.ManagerConfig{
-		Workers:    1,
+	gw := startFleetDaemon(t, server.ManagerConfig{
+		Workers:    2,
 		QueueDepth: 32,
 		Cache:      cache,
-		Tenants:    frontReg,
+		Tenants:    reg,
 		HotResults: 4, // force hot-tier evictions during the campaign
-		Remotes:    []server.Remote{pr1, pr2},
 	})
-	dumpFaultArtifacts(t, front, cachePath+".jobs")
+	dumpFaultArtifacts(t, gw, cachePath+".jobs")
 
 	// Overlapping seed sets: alice 1-8, carol 5-10, bob 2-3. Ten
-	// distinct configs fleet-wide; the overlaps exercise cross-tenant
-	// dedup and cache hits.
+	// distinct configs in all; the overlaps exercise cross-tenant dedup
+	// and cache hits.
 	aliceSeeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
 	carolSeeds := []uint64{5, 6, 7, 8, 9, 10}
 	bobSeeds := []uint64{2, 3}
@@ -190,9 +171,9 @@ func TestFleetFaultCampaign(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 	defer cancel()
-	alice := fiClient(front, "tok-alice")
-	bob := fiClient(front, "tok-bob")
-	carol := fiClient(front, "tok-carol")
+	alice := fiClient(gw, "tok-alice")
+	bob := fiClient(gw, "tok-bob")
+	carol := fiClient(gw, "tok-carol")
 
 	// Stalled SSE consumer: carol pre-submits her first job and parks a
 	// never-read connection on its event stream for the whole campaign.
@@ -201,7 +182,7 @@ func TestFleetFaultCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sseReq, err := http.NewRequestWithContext(ctx, http.MethodGet, front.ts.URL+"/v1/jobs/"+pre[0].ID+"/events", nil)
+	sseReq, err := http.NewRequestWithContext(ctx, http.MethodGet, gw.ts.URL+"/v1/jobs/"+pre[0].ID+"/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +213,7 @@ func TestFleetFaultCampaign(t *testing.T) {
 				return
 			default:
 			}
-			met := front.m.Metrics()
+			met := gw.m.Metrics()
 			vmu.Lock()
 			for _, tm := range met.Tenants {
 				if tm.Name == "carol" && tm.Queued > 2 {
@@ -249,16 +230,6 @@ func TestFleetFaultCampaign(t *testing.T) {
 			vmu.Unlock()
 			time.Sleep(5 * time.Millisecond)
 		}
-	}()
-
-	// Kill peer2 mid-campaign: sever its live connections, then close
-	// the listener. In-flight work hands back to the front's queue.
-	killed := make(chan struct{})
-	go func() {
-		defer close(killed)
-		time.Sleep(250 * time.Millisecond)
-		peer2.ts.CloseClientConnections()
-		peer2.ts.Close()
 	}()
 
 	var wg sync.WaitGroup
@@ -311,7 +282,6 @@ func TestFleetFaultCampaign(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	<-killed
 	close(watchStop)
 	watchWG.Wait()
 
@@ -324,17 +294,17 @@ func TestFleetFaultCampaign(t *testing.T) {
 	// Byte-identical results for every tenant, against local sweep.Run.
 	for i, s := range aliceSeeds {
 		if !reflect.DeepEqual(aliceRes[i], baseline[s]) {
-			t.Errorf("alice seed %d: fleet result differs from local run", s)
+			t.Errorf("alice seed %d: daemon result differs from local run", s)
 		}
 	}
 	for i, s := range carolSeeds {
 		if !reflect.DeepEqual(carolRes[i], baseline[s]) {
-			t.Errorf("carol seed %d: fleet result differs from local run", s)
+			t.Errorf("carol seed %d: daemon result differs from local run", s)
 		}
 	}
 	for i, s := range bobSeeds {
 		if bobRes[i].Result == nil || !reflect.DeepEqual(*bobRes[i].Result, baseline[s]) {
-			t.Errorf("bob seed %d: fleet result differs from local run", s)
+			t.Errorf("bob seed %d: daemon result differs from local run", s)
 		}
 	}
 	// The stalled consumer's job finished too, unbothered.
@@ -348,13 +318,11 @@ func TestFleetFaultCampaign(t *testing.T) {
 	}
 	vmu.Unlock()
 
-	met := front.m.Metrics()
-	// Exactly-once: ten distinct configs, ten simulations fleet-wide as
-	// accounted by the front (local + remote), regardless of dedup,
-	// cache hits, rate-limit retries, or the killed peer's handbacks.
-	if got := met.SimulationsRun + met.RemoteSimulations; got != 10 {
-		t.Errorf("fleet simulations = %d (local %d + remote %d), want exactly 10",
-			got, met.SimulationsRun, met.RemoteSimulations)
+	met := gw.m.Metrics()
+	// Exactly-once: ten distinct configs, ten simulations, regardless of
+	// dedup, cache hits, or rate-limit retries.
+	if met.SimulationsRun != 10 {
+		t.Errorf("simulations = %d, want exactly 10", met.SimulationsRun)
 	}
 	byName := map[string]server.TenantMetrics{}
 	for _, tm := range met.Tenants {
@@ -398,14 +366,6 @@ func TestFleetFaultCampaign(t *testing.T) {
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusNotFound {
 		t.Errorf("cross-tenant job fetch = %v, want HTTP 404", err)
-	}
-
-	// The gateway peer attributed forwarded jobs to the original
-	// tenants, not to its "fleet" service account.
-	for _, st := range peer1.m.Jobs() {
-		if st.Tenant == "fleet" || st.Tenant == "" {
-			t.Errorf("peer1 job %s attributed to %q, want a forwarded tenant", st.ID, st.Tenant)
-		}
 	}
 }
 
@@ -506,8 +466,10 @@ func TestChaosClientStorms(t *testing.T) {
 
 	t.Run("429 storm retried", func(t *testing.T) {
 		chaos := clienttest.NewChaosTransport(nil).Add(clienttest.Rule{
-			Name:   "submit-429",
-			Match:  func(r *http.Request) bool { return r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/jobs") },
+			Name: "submit-429",
+			Match: func(r *http.Request) bool {
+				return r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/v1/jobs")
+			},
 			Times:  3,
 			Status: http.StatusTooManyRequests,
 			Body:   `{"error":"synthetic storm"}`,

@@ -51,7 +51,7 @@ type journalEntry struct {
 	Label      string    `json:"label,omitempty"`
 	Tenant     string    `json:"tenant,omitempty"` // owning tenant ("" in open mode)
 	State      JobState  `json:"state"`
-	Worker     string    `json:"worker,omitempty"` // "local", "cache", or a peer name
+	Worker     string    `json:"worker,omitempty"` // "local" or "cache"; older journals may name a peer
 	FinishedAt time.Time `json:"finished_at"`
 }
 

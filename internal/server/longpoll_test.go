@@ -8,16 +8,15 @@ import (
 	"net/url"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 )
 
-// gatedDaemon is a daemon whose only execution slot is a fake peer that
-// holds every job running until release is called: a blocker whose end
-// the test controls, so long-poll tests need no sleeps. parked receives
-// one value each time a long-poll blocks; exited one each time a
-// request carrying wait= leaves the handler.
+// gatedDaemon is a one-worker daemon that holds every flight labelled
+// heldLabel running until release is called (holdFlights): a blocker
+// whose end the test controls, so long-poll tests need no sleeps.
+// parked receives one value each time a long-poll blocks; exited one
+// each time a request carrying wait= leaves the handler.
 type gatedDaemon struct {
 	*testDaemon
 	release func()
@@ -27,26 +26,13 @@ type gatedDaemon struct {
 
 func startGatedDaemon(t *testing.T, cfg ManagerConfig) *gatedDaemon {
 	t.Helper()
-	gate := make(chan struct{})
-	var once sync.Once
-	held := simulatingRemote("gated", 1, nil)
-	peer := &remoteFunc{name: "gated", slots: 1, run: func(ctx context.Context, spec JobSpec) (JobStatus, error) {
-		select {
-		case <-gate:
-		case <-ctx.Done():
-			return JobStatus{}, ctx.Err()
-		}
-		return held.run(ctx, spec)
-	}}
-	cfg.Workers = NoLocalWorkers
-	cfg.Remotes = []Remote{peer}
+	cfg.Workers = 1
 	m := NewManager(cfg)
 	// Buffers exceed the handful of long-polls any test makes, so the
 	// hooks never block a handler the test has stopped watching.
 	g := &gatedDaemon{
-		release: func() { once.Do(func() { close(gate) }) },
-		parked:  make(chan struct{}, 16),
-		exited:  make(chan struct{}, 16),
+		parked: make(chan struct{}, 16),
+		exited: make(chan struct{}, 16),
 	}
 	// Set before the HTTP server starts, so handler goroutines see it.
 	m.parkedHook = func() { g.parked <- struct{}{} }
@@ -59,7 +45,7 @@ func startGatedDaemon(t *testing.T, cfg ManagerConfig) *gatedDaemon {
 	}))
 	g.testDaemon = &testDaemon{ts: ts, m: m}
 	t.Cleanup(g.stop)
-	t.Cleanup(g.release) // runs first: Drain waits for the held job
+	g.release = holdFlights(t, m) // its cleanup runs first: Drain waits for the held job
 	return g
 }
 
@@ -122,7 +108,7 @@ func answered(t *testing.T, code <-chan int) int {
 // finishes, and not before — the job cannot finish until release.
 func TestLongPollWakesOnFinish(t *testing.T) {
 	g := startGatedDaemon(t, ManagerConfig{})
-	id := submitHTTP(t, g.testDaemon, JobSpec{Config: tinyCfg(501)})[0].ID
+	id := submitHTTP(t, g.testDaemon, JobSpec{Label: heldLabel, Config: tinyCfg(501)})[0].ID
 
 	var st JobStatus
 	var list SubmitResponse
@@ -149,7 +135,7 @@ func TestLongPollWakesOnFinish(t *testing.T) {
 // job is younger). The parked list waiter must wake and leave it out.
 func TestLongPollEvictionWakesListWaiter(t *testing.T) {
 	g := startGatedDaemon(t, ManagerConfig{Retention: 1})
-	running := submitHTTP(t, g.testDaemon, JobSpec{Config: tinyCfg(502)})[0].ID
+	running := submitHTTP(t, g.testDaemon, JobSpec{Label: heldLabel, Config: tinyCfg(502)})[0].ID
 	queued := submitHTTP(t, g.testDaemon, JobSpec{Config: tinyCfg(503)})[0].ID
 	if code := doJSON(t, http.MethodDelete, g.url("/v1/jobs/"+queued), nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel: HTTP %d", code)
@@ -173,7 +159,7 @@ func TestLongPollEvictionWakesListWaiter(t *testing.T) {
 // while the job it waited on is still running.
 func TestLongPollClientDisconnectEndsHandler(t *testing.T) {
 	g := startGatedDaemon(t, ManagerConfig{})
-	id := submitHTTP(t, g.testDaemon, JobSpec{Config: tinyCfg(504)})[0].ID
+	id := submitHTTP(t, g.testDaemon, JobSpec{Label: heldLabel, Config: tinyCfg(504)})[0].ID
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -260,7 +246,7 @@ func TestLongPollTenantVisibility(t *testing.T) {
 	// Every request here must answer at once: bob's waits have nothing
 	// to wait for, since for him the job does not exist.
 	get := func(token, path string, out any) int { return answered(t, getAsync(g.url(path), token, out)) }
-	sts, err := g.m.SubmitAs(reg.Lookup("alice"), []JobSpec{{Config: tinyCfg(507)}})
+	sts, err := g.m.SubmitAs(reg.Lookup("alice"), []JobSpec{{Label: heldLabel, Config: tinyCfg(507)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,9 +288,10 @@ func TestLongPollTenantVisibility(t *testing.T) {
 // stage.
 func TestStageHistograms(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
-	// The blocker holds the only worker, so the job canceled last is
-	// still queued when the cancel lands.
-	ids := []string{submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0].ID}
+	release := holdFlights(t, d.m)
+	// The held blocker keeps the only worker, so the job canceled last
+	// is still queued when the cancel lands.
+	ids := []string{submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0].ID}
 	for seed := uint64(510); seed < 514; seed++ {
 		ids = append(ids, submitHTTP(t, d, JobSpec{Config: tinyCfg(seed)})[0].ID)
 	}
@@ -312,6 +299,7 @@ func TestStageHistograms(t *testing.T) {
 	if code := doJSON(t, http.MethodDelete, d.url("/v1/jobs/"+canceled), nil, nil); code != http.StatusOK {
 		t.Fatalf("cancel: HTTP %d", code)
 	}
+	release()
 	for _, id := range ids {
 		pollDone(t, d, id)
 		pollDone(t, d, id) // a second serve must not count again

@@ -50,10 +50,6 @@ var (
 	// while it was still queued — it fails fast instead of occupying a
 	// scheduler slot it can no longer use.
 	ErrDeadlineExceeded = errors.New("server: job deadline exceeded")
-	// ErrQuarantined fails a poison job: one whose execution killed
-	// PoisonThreshold successive workers. Resubmissions of the same
-	// config fail fast instead of cascading through the fleet.
-	ErrQuarantined = errors.New("server: job quarantined")
 )
 
 // JobState is the lifecycle position of one job.
@@ -79,10 +75,10 @@ type JobSpec struct {
 	Config sim.Config `json:"config"`
 	// Tenant attributes the job to a tenant other than the submitting
 	// principal. Honored only in open mode (no registry) or when the
-	// authenticated caller is a Gateway tenant — the mechanism by which
-	// a fleet front forwards the original caller's identity to its
-	// peers, keeping fleet-wide quotas and attribution correct.
-	// Excluded from sweep.Key: attribution never changes cache keys.
+	// authenticated caller is a Gateway tenant — an operator or service
+	// account submitting on a tenant's behalf, so that tenant's quotas
+	// and attribution apply. Excluded from sweep.Key: attribution never
+	// changes cache keys.
 	Tenant string `json:"tenant,omitempty"`
 	// DeadlineMs, when positive, is the job's absolute deadline in
 	// milliseconds since the Unix epoch. The manager enforces it
@@ -108,8 +104,8 @@ type JobStatus struct {
 	Deduped bool     `json:"deduped,omitempty"` // attached to another job's in-flight run
 	Error   string   `json:"error,omitempty"`
 	// Reason is the machine-readable cause of a terminal failure
-	// (ReasonDeadline, ReasonQuarantined) so fleet schedulers classify
-	// failures without parsing Error strings.
+	// (ReasonDeadline) so fleet schedulers classify failures without
+	// parsing Error strings.
 	Reason      string      `json:"reason,omitempty"`
 	SubmittedAt time.Time   `json:"submitted_at"`
 	StartedAt   *time.Time  `json:"started_at,omitempty"`
@@ -167,28 +163,16 @@ type flight struct {
 	priority int
 	seq      uint64
 
-	// handbacks counts how many successive workers this flight's
-	// execution has killed (each retireSlot hand-back increments it).
-	// At ManagerConfig.PoisonThreshold the flight is quarantined instead
-	// of requeued, so one poison job cannot cascade through the fleet.
-	handbacks int
-
 	// stream, set when the config enables analysis, fans the flight's
 	// live epoch batches out to SSE subscribers and retains the final
 	// report for late ones.
 	stream *analysisBroker
 }
 
-// NoLocalWorkers as ManagerConfig.Workers makes the manager a pure
-// dispatch front: it runs no simulations itself and needs at least one
-// Remote to make progress (NewManager rejects it otherwise).
-const NoLocalWorkers = -1
-
 // ManagerConfig sizes a Manager.
 type ManagerConfig struct {
 	// Workers is the number of simulations running concurrently on
-	// this machine (0 means GOMAXPROCS; NoLocalWorkers means none —
-	// valid only together with Remotes).
+	// this machine (<= 0 means GOMAXPROCS).
 	Workers int
 	// QueueDepth bounds how many distinct simulations may wait for a
 	// worker (<= 0 means 64). Submissions beyond it fail ErrQueueFull.
@@ -202,12 +186,6 @@ type ManagerConfig struct {
 	// this cap; their results remain reachable through the cache via
 	// GET /v1/results/{key}. Live jobs are never evicted.
 	Retention int
-
-	// Remotes are peer execution backends (ccsimd -peers): each adds
-	// Slots() worker goroutines that run queued flights on that peer
-	// instead of this machine, with automatic hand-back to the queue
-	// when the peer becomes unreachable.
-	Remotes []Remote
 
 	// Tenants, when non-nil, turns the manager into a multi-tenant
 	// gateway: submissions are attributed to tenants, staged by
@@ -229,17 +207,6 @@ type ManagerConfig struct {
 	// worse, silently reading a different file.
 	TraceRoot string
 
-	// HedgeAfter, when positive, hedges straggler remote flights: a
-	// flight a peer has been running for longer than this launches a
-	// local backup execution, first result wins. Safe because the
-	// fleet-wide singleflight on sweep.Key guarantees at most one
-	// *counted* simulation per config — the losing attempt is canceled
-	// and never finishes the flight. Zero disables hedging.
-	HedgeAfter time.Duration
-	// PoisonThreshold quarantines a flight after its execution killed
-	// this many successive workers (0 means 3; negative disables
-	// quarantine entirely).
-	PoisonThreshold int
 	// StorageProbeInterval overrides how often degraded (memory-only)
 	// storage probes the disk for recovery; <= 0 keeps the one-second
 	// default.
@@ -264,11 +231,9 @@ type Manager struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	retention  int
-	workers    int // local worker goroutines
-	traceRoot  string
-	hedgeAfter time.Duration // straggler threshold for remote flights (0 = no hedging)
-	poison     int           // successive worker kills before quarantine (<=0 = never)
+	retention int
+	workers   int // worker goroutines
+	traceRoot string
 
 	mu       sync.Mutex
 	qcond    *sync.Cond // workers wait here for startable flights
@@ -279,7 +244,6 @@ type Manager struct {
 	qclosed  bool               // set by Drain; workers exit once the queue empties
 	draining bool
 	nextID   uint64
-	slots    int // live worker goroutines, local + remote; remote slots retire on peer loss
 
 	// settled is closed and replaced on every terminal transition and
 	// every eviction (wakeLocked); status long-polls wait on it.
@@ -287,10 +251,12 @@ type Manager struct {
 	// parkedHook, when set (tests only, before serving), runs each time
 	// a status long-poll blocks waiting for a job to settle.
 	parkedHook func()
+	// runHook, when set (tests only, before the first submission), runs
+	// on the execution path after a flight started and before it
+	// simulates. It receives the flight's context and label, and must
+	// return once that context ends.
+	runHook func(ctx context.Context, label string)
 
-	// quarantined maps content-address keys of poison jobs to the
-	// human-readable quarantine cause; resubmissions fail fast.
-	quarantined map[string]string
 	// avgFlightNs is an EWMA of fresh (non-cached) flight durations,
 	// the basis of admission-time deadline shedding: a submission whose
 	// deadline the estimated queue drain exceeds is rejected instead of
@@ -325,20 +291,11 @@ func (m *Manager) tenantCountersLocked(name string) *tenantCounters {
 	return tc
 }
 
-// NewManager starts cfg.Workers local worker goroutines plus Slots()
-// goroutines per remote backend and returns the manager. Call Drain to
-// stop it.
+// NewManager starts cfg.Workers worker goroutines and returns the
+// manager. Call Drain to stop it.
 func NewManager(cfg ManagerConfig) *Manager {
 	workers := cfg.Workers
-	switch {
-	case workers == NoLocalWorkers:
-		workers = 0
-		if len(cfg.Remotes) == 0 {
-			// A manager with no execution capacity would accept jobs
-			// and never run them; keep one local worker instead.
-			workers = 1
-		}
-	case workers <= 0:
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	depth := cfg.QueueDepth
@@ -349,28 +306,21 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if retention <= 0 {
 		retention = 1024
 	}
-	poison := cfg.PoisonThreshold
-	if poison == 0 {
-		poison = 3
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cache:       cfg.Cache,
-		store:       newResultStore(cfg.Cache, cfg.HotResults),
-		registry:    cfg.Tenants,
-		retention:   retention,
-		workers:     workers,
-		traceRoot:   cfg.TraceRoot,
-		hedgeAfter:  cfg.HedgeAfter,
-		poison:      poison,
-		ctx:         ctx,
-		cancel:      cancel,
-		jobs:        map[string]*job{},
-		flights:     map[string]*flight{},
-		sched:       newSchedQueue(depth),
-		tstats:      map[string]*tenantCounters{},
-		quarantined: map[string]string{},
-		settled:     make(chan struct{}),
+		cache:     cfg.Cache,
+		store:     newResultStore(cfg.Cache, cfg.HotResults),
+		registry:  cfg.Tenants,
+		retention: retention,
+		workers:   workers,
+		traceRoot: cfg.TraceRoot,
+		ctx:       ctx,
+		cancel:    cancel,
+		jobs:      map[string]*job{},
+		flights:   map[string]*flight{},
+		sched:     newSchedQueue(depth),
+		tstats:    map[string]*tenantCounters{},
+		settled:   make(chan struct{}),
 	}
 	m.qcond = sync.NewCond(&m.mu)
 	if cfg.Cache != nil {
@@ -390,21 +340,9 @@ func NewManager(cfg ManagerConfig) *Manager {
 		}
 		m.replayJournal()
 	}
-	m.slots = workers
 	m.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go m.worker()
-	}
-	for _, r := range cfg.Remotes {
-		slots := r.Slots()
-		if slots < 1 {
-			slots = 1
-		}
-		m.slots += slots
-		m.wg.Add(slots)
-		for i := 0; i < slots; i++ {
-			go m.remoteWorker(r)
-		}
 	}
 	// The deadline sweeper fails queued jobs whose deadline passed. Not
 	// in m.wg: it lives on m.ctx, which Drain cancels after the workers
@@ -454,7 +392,7 @@ func (m *Manager) LookupResult(key string) (sim.Result, bool) {
 	return m.store.Lookup(key)
 }
 
-// Workers returns the local simulation concurrency, advertised on
+// Workers returns the simulation concurrency, advertised on
 // /healthz so fleet dispatchers can weight assignment by capacity.
 func (m *Manager) Workers() int { return m.workers }
 
@@ -516,8 +454,8 @@ func (m *Manager) SubmitAs(caller Tenant, specs []JobSpec) ([]JobStatus, error) 
 		// JSON, but guard anyway: they run as unique key-less flights.
 
 		// Resolve the owning tenant: the caller, unless the spec names
-		// another tenant and the caller may speak for it (fleet fronts
-		// forwarding the original submitter, or open mode).
+		// another tenant and the caller may speak for it (a Gateway
+		// principal, or anyone in open mode).
 		name := caller.Name
 		if spec.Tenant != "" && (caller.Gateway || m.registry == nil) {
 			name = spec.Tenant
@@ -533,13 +471,6 @@ func (m *Manager) SubmitAs(caller Tenant, specs []JobSpec) ([]JobStatus, error) 
 	defer m.mu.Unlock()
 	if m.draining {
 		return nil, ErrDraining
-	}
-	// Poison quarantine: a config that killed PoisonThreshold successive
-	// workers fails fast on resubmission instead of cascading again.
-	for i, key := range keys {
-		if cause, ok := m.quarantined[key]; ok && key != "" {
-			return nil, fmt.Errorf("server: job %d: %w (%s)", i, ErrQuarantined, cause)
-		}
 	}
 
 	// Count the fresh flights this batch needs, so a batch that would
@@ -809,8 +740,8 @@ func (m *Manager) Cancel(id string) (JobStatus, error) {
 
 // canSeeLocked reports whether caller may observe (or act on) j: in
 // open mode everyone sees everything; with a registry, tenants see only
-// their own jobs while Gateway principals (fleet fronts, operators)
-// see all.
+// their own jobs while Gateway principals (operators, service
+// accounts) see all.
 func (m *Manager) canSeeLocked(caller Tenant, j *job) bool {
 	return m.registry == nil || caller.Gateway || j.tenant == caller.Name
 }
@@ -937,14 +868,14 @@ func (e *DeadlineError) Error() string {
 
 // drainEstimateLocked estimates how long the queue (plus fresh incoming
 // flights) takes to drain, from the EWMA of fresh flight durations and
-// the live slot count. Zero until enough history exists. Caller holds
+// the worker count. Zero until enough history exists. Caller holds
 // m.mu.
 func (m *Manager) drainEstimateLocked(fresh int) time.Duration {
-	if m.avgFlightNs <= 0 || m.slots <= 0 {
+	if m.avgFlightNs <= 0 {
 		return 0
 	}
 	backlog := m.sched.total + fresh + m.counters.running
-	return time.Duration(float64(backlog) * m.avgFlightNs / float64(m.slots))
+	return time.Duration(float64(backlog) * m.avgFlightNs / float64(m.workers))
 }
 
 // expireLoop periodically fails queued jobs whose deadline passed, so
@@ -1019,23 +950,6 @@ func (m *Manager) failJobLocked(j *job, err error, reason string) journalEntry {
 	}
 }
 
-// failureReason maps a flight error to the machine-readable Reason
-// carried on JobStatus ("" for unclassified failures).
-func failureReason(err error) string {
-	var remoteErr *RemoteJobError
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, ErrDeadlineExceeded):
-		return ReasonDeadline
-	case errors.Is(err, ErrQuarantined):
-		return ReasonQuarantined
-	case errors.As(err, &remoteErr):
-		return remoteErr.Reason // propagate the peer's classification
-	}
-	return ""
-}
-
 // nextFlight blocks until the scheduler has a startable flight,
 // returning ok=false once Drain closed the queue and nothing startable
 // remains. Picking accounts one running slot to the flight's tenant,
@@ -1062,56 +976,10 @@ func (m *Manager) worker() {
 		if !ok {
 			return
 		}
-		m.runFlight(f)
-	}
-}
-
-// remoteWorker is one execution slot on a peer daemon: it picks flights
-// like a local worker but ships them to r. When the peer becomes
-// unreachable the slot retires — the in-flight flight is handed back to
-// the queue (or executed locally when it cannot be), and if this was
-// the manager's last live slot the goroutine degrades to a local worker
-// so queued flights are never orphaned.
-func (m *Manager) remoteWorker(r Remote) {
-	defer m.wg.Done()
-	for {
-		f, ok := m.nextFlight()
-		if !ok {
-			return
-		}
-		if !m.startFlight(f) {
-			continue
-		}
-		switch m.execFlightRemote(r, f) {
-		case flightSettled:
-			continue
-		case peerLostSettled:
-			// A hedge finished the flight after the peer vanished: retire
-			// the slot without a hand-back.
-			if last := m.dropSlot(); !last {
-				return
-			}
-		case peerLost:
-			if last := m.retireSlot(f); !last {
-				return
-			}
-		}
-		for {
-			f, ok := m.nextFlight()
-			if !ok {
-				return
-			}
-			m.runFlight(f)
+		if m.startFlight(f) {
+			m.execFlight(f)
 		}
 	}
-}
-
-// runFlight executes one flight locally, start to finish.
-func (m *Manager) runFlight(f *flight) {
-	if !m.startFlight(f) {
-		return
-	}
-	m.execFlightLocal(f)
 }
 
 // startFlight moves a dequeued flight to running and reports whether it
@@ -1168,21 +1036,20 @@ func (m *Manager) startFlight(f *flight) bool {
 	return true
 }
 
-// simulateFlight runs a started flight through the sweep engine on this
-// machine, without finishing it — the caller decides what the outcome
-// means (the normal local path finishes the flight with it; a hedge
-// only wins if the remote attempt has not already finished). When the
-// flight carries a stream broker and hedge is false, the analysis
+// execFlight runs a started flight through the sweep engine, start to
+// finish. When the flight carries a stream broker, the analysis
 // collector's live batches are routed into it on the simulation
 // goroutine; the cloned config keeps the content address unchanged
-// (Stream is excluded from the key). Hedge runs skip the broker so a
-// losing backup never races the winner's stream seal.
-func (m *Manager) simulateFlight(f *flight, hedge bool) (sim.Result, sweep.Event, error) {
+// (Stream is excluded from the key).
+func (m *Manager) execFlight(f *flight) {
 	cfg := f.cfg
-	if !hedge && f.stream != nil && cfg.Analysis != nil {
+	if f.stream != nil && cfg.Analysis != nil {
 		ac := *cfg.Analysis
 		ac.Stream = f.stream.ingest
 		cfg.Analysis = &ac
+	}
+	if m.runHook != nil {
+		m.runHook(f.ctx, f.label)
 	}
 	var ev sweep.Event
 	results, err := sweep.Run(f.ctx, []sweep.Job{{Label: f.label, Config: cfg}}, sweep.Options{
@@ -1195,270 +1062,19 @@ func (m *Manager) simulateFlight(f *flight, hedge bool) (sim.Result, sweep.Event
 		res = results[0]
 		if f.key != "" {
 			// sweep.Run already wrote the cold tier; promote into the
-			// hot LRU so local completions are served hot just like
-			// remote ones (store.Put on the peer path).
+			// hot LRU so completions are served hot.
 			m.store.promote(f.key, res)
 		}
 	}
-	return res, ev, err
-}
-
-// execFlightLocal runs a started flight locally, start to finish.
-func (m *Manager) execFlightLocal(f *flight) {
-	res, ev, err := m.simulateFlight(f, false)
-	m.finishFlight(f, "local", res, ev.Elapsed, ev.Cached, false, err)
-}
-
-// remoteVerdict is the outcome of one remote flight execution.
-type remoteVerdict int
-
-const (
-	// flightSettled: the flight reached a terminal state (on the peer, or
-	// locally via the ineligible fallback or a winning hedge while the
-	// peer stayed healthy); the slot keeps serving the peer.
-	flightSettled remoteVerdict = iota
-	// peerLost: transport failure with the flight still running; the
-	// caller hands it back via retireSlot.
-	peerLost
-	// peerLostSettled: the transport died but a hedge finished the
-	// flight; the slot retires without a hand-back.
-	peerLostSettled
-)
-
-// remoteSpec builds the JobSpec forwarded to a peer: the owning tenant
-// (so the peer attributes work — and its fleet-wide dedup and quotas —
-// to the original caller, not to this forwarding daemon) and the widest
-// deadline shared by every live subscriber. The deadline is forwarded
-// only when every live subscriber has one: a peer must never fail a
-// flight early while a deadline-less subscriber is still waiting on it.
-func (m *Manager) remoteSpec(f *flight) JobSpec {
-	spec := JobSpec{Label: f.label, Config: f.cfg, Tenant: f.tenant}
-	m.mu.Lock()
-	latest, all := time.Time{}, true
-	for _, j := range f.jobs {
-		if j.state.Terminal() {
-			continue
-		}
-		if j.deadline.IsZero() {
-			all = false
-			break
-		}
-		if j.deadline.After(latest) {
-			latest = j.deadline
-		}
-	}
-	m.mu.Unlock()
-	if all && !latest.IsZero() {
-		spec.DeadlineMs = latest.UnixMilli()
-	}
-	return spec
-}
-
-// execFlightRemote runs a started flight on r, hedging stragglers with
-// a local backup when the manager was configured with HedgeAfter.
-func (m *Manager) execFlightRemote(r Remote, f *flight) remoteVerdict {
-	if m.hedgeAfter > 0 {
-		return m.execFlightHedged(r, f)
-	}
-	start := time.Now()
-	st, err := r.Run(f.ctx, m.remoteSpec(f))
-	if m.settleRemote(r, f, st, err, time.Since(start), false) {
-		return flightSettled
-	}
-	return peerLost
-}
-
-// execFlightHedged races the peer against a local backup: the remote
-// attempt starts immediately, and if it is still running after
-// hedgeAfter a local execution launches too — first finished result
-// wins and cancels the loser, so hedges never double-finish a flight
-// (and never double-count SimulationsRun: only the winner reaches
-// finishFlight).
-func (m *Manager) execFlightHedged(r Remote, f *flight) remoteVerdict {
-	type remoteOut struct {
-		st  JobStatus
-		err error
-	}
-	type localOut struct {
-		res sim.Result
-		ev  sweep.Event
-		err error
-	}
-	start := time.Now()
-	rctx, rcancel := context.WithCancel(f.ctx)
-	defer rcancel()
-	rch := make(chan remoteOut, 1)
-	spec := m.remoteSpec(f)
-	go func() {
-		st, err := r.Run(rctx, spec)
-		rch <- remoteOut{st, err}
-	}()
-	var lch chan localOut // nil until the hedge launches; nil in select blocks forever
-	timer := time.NewTimer(m.hedgeAfter)
-	defer timer.Stop()
-	for {
-		select {
-		case o := <-rch:
-			elapsed := time.Since(start)
-			hedged := lch != nil
-			if m.settleRemote(r, f, o.st, o.err, elapsed, hedged) {
-				return flightSettled
-			}
-			if !hedged {
-				return peerLost
-			}
-			// The peer is gone (or became ineligible) but the hedge is
-			// already simulating this flight locally: let it finish —
-			// handing the flight back would run it a third time.
-			lo := <-lch
-			m.finishFlight(f, "local", lo.res, lo.ev.Elapsed, lo.ev.Cached, false, lo.err)
-			m.mu.Lock()
-			m.counters.hedgesWon++
-			m.mu.Unlock()
-			if errors.Is(o.err, ErrIneligible) {
-				return flightSettled // the peer is healthy; keep its slot
-			}
-			return peerLostSettled
-		case <-timer.C:
-			if lch != nil {
-				continue
-			}
-			lch = make(chan localOut, 1)
-			m.mu.Lock()
-			m.counters.hedgesLaunched++
-			m.mu.Unlock()
-			go func() {
-				res, ev, err := m.simulateFlight(f, true)
-				lch <- localOut{res, ev, err}
-			}()
-		case lo := <-lch:
-			// The local backup beat the straggling peer: cancel the remote
-			// attempt and finish with the local result.
-			rcancel()
-			m.finishFlight(f, "local", lo.res, lo.ev.Elapsed, lo.ev.Cached, false, lo.err)
-			m.mu.Lock()
-			m.counters.hedgesWon++
-			m.mu.Unlock()
-			return flightSettled
-		}
-	}
-}
-
-// settleRemote applies one remote outcome to the flight. It reports
-// true when the flight reached a terminal state; false means a
-// transport failure (the peer is unreachable — the caller retires the
-// slot or falls back to a running hedge) or, when hedged, an
-// ineligibility verdict the running hedge will resolve.
-func (m *Manager) settleRemote(r Remote, f *flight, st JobStatus, err error, elapsed time.Duration, hedged bool) bool {
-	var remoteErr *RemoteJobError
-	switch {
-	case err == nil && st.Result == nil:
-		m.finishFlight(f, r.Name(), sim.Result{}, elapsed, false, true,
-			fmt.Errorf("server: peer %s finished job without a result", r.Name()))
-	case err == nil:
-		res := *st.Result
-		if f.key != "" {
-			// Land the peer's result in this daemon's result store (hot
-			// tier + persistent cache) so restarts and identical
-			// submissions serve it locally, under the key computed at
-			// submission — never re-digested, so a trace rewritten
-			// mid-flight cannot fail a successful run (key-less flights
-			// skip caching, like the local path; cacheless managers have
-			// a nil store; a degraded cache absorbs the write in memory).
-			if perr := m.store.Put(f.key, res); perr != nil {
-				m.finishFlight(f, r.Name(), sim.Result{}, elapsed, false, true, perr)
-				return true
-			}
-		}
-		m.finishFlight(f, r.Name(), res, elapsed, st.Cached, true, nil)
-	case errors.As(err, &remoteErr) || f.ctx.Err() != nil:
-		// The peer ran the job and the simulation failed (retrying
-		// elsewhere would fail identically), or our own flight was
-		// canceled: terminal either way.
-		m.finishFlight(f, r.Name(), sim.Result{}, elapsed, false, true, err)
-	case errors.Is(err, ErrIneligible):
-		// This peer must not run the job (e.g. it cannot see the
-		// config's trace files) but it is perfectly healthy: execute
-		// the flight on this goroutine instead — requeueing would
-		// livelock a fleet whose every peer is ineligible, and failing
-		// would punish a job local execution can still satisfy. With a
-		// hedge already running, that local execution exists: defer to it.
-		if hedged {
-			return false
-		}
-		m.execFlightLocal(f)
-	default:
-		return false
-	}
-	return true
-}
-
-// retireSlot hands back the flight a vanished peer was running and
-// removes this worker from the live-slot count. The flight returns to
-// the queue for another worker when possible; otherwise — queue full,
-// draining, or no other slot left to ever pick it up — it executes
-// locally on this goroutine, because a started flight must reach a
-// terminal state. Returns true when this was the last live slot, in
-// which case the caller keeps serving the queue locally.
-func (m *Manager) retireSlot(f *flight) (last bool) {
-	m.mu.Lock()
-	m.slots--
-	last = m.slots == 0
-	// Poison quarantine: a flight whose execution has now killed
-	// m.poison successive workers is the common cause, not the victim.
-	// Fail and quarantine it instead of handing it to yet another
-	// worker.
-	f.handbacks++
-	if m.poison > 0 && f.handbacks >= m.poison {
-		m.counters.quarantined++
-		if f.key != "" {
-			m.quarantined[f.key] = fmt.Sprintf("killed %d successive workers", f.handbacks)
-		}
-		m.mu.Unlock()
-		m.finishFlight(f, "quarantine", sim.Result{}, 0, false, true,
-			fmt.Errorf("%w: execution killed %d successive workers", ErrQuarantined, f.handbacks))
-		return last
-	}
-	if !last && !m.draining && m.sched.total < m.sched.capacity {
-		// Hand-back visible to status readers/SSE as running -> queued.
-		f.state = StateQueued
-		for _, j := range f.jobs {
-			if j.state == StateRunning {
-				j.state = StateQueued
-				m.notifyLocked(j)
-			}
-		}
-		m.counters.running--
-		m.counters.requeued++
-		m.sched.release(f) // re-picked later, re-accounted then
-		m.sched.push(f, m.registry.Lookup(f.tenant))
-		m.qcond.Broadcast()
-		m.mu.Unlock()
-		return last
-	}
-	m.mu.Unlock()
-	m.execFlightLocal(f)
-	return last
-}
-
-// dropSlot removes a retiring worker from the live-slot count without a
-// flight hand-back (the flight already settled). Returns true when this
-// was the last live slot.
-func (m *Manager) dropSlot() (last bool) {
-	m.mu.Lock()
-	m.slots--
-	last = m.slots == 0
-	m.mu.Unlock()
-	return last
+	m.finishFlight(f, res, ev.Elapsed, ev.Cached, err)
 }
 
 // finishFlight completes every job attached to a started flight with
-// its outcome. worker names the slot that resolved the flight ("local"
-// or a peer) for the journal and the per-worker metrics; cached marks
-// results served from a cache (this daemon's or the executing peer's);
-// remote marks executions that happened on a peer, counted separately
-// because the peer's own counters record the simulation.
-func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed time.Duration, cached, remote bool, err error) {
+// its outcome; cached marks a result sweep.Run served from the cache.
+// The journal and the per-worker metrics attribute it to the "local"
+// slot.
+func (m *Manager) finishFlight(f *flight, res sim.Result, elapsed time.Duration, cached bool, err error) {
+	const worker = "local"
 	var recs []journalEntry
 	m.mu.Lock()
 	m.counters.running--
@@ -1469,14 +1085,12 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 	m.qcond.Broadcast()
 	switch {
 	case err != nil:
-		reason := failureReason(err)
 		for _, j := range f.jobs {
 			if j.state.Terminal() {
 				continue
 			}
 			j.state = StateFailed
 			j.err = err
-			j.reason = reason
 			j.finishedAt = time.Now()
 			j.elapsed = elapsed
 			m.counters.failed++
@@ -1490,21 +1104,16 @@ func (m *Manager) finishFlight(f *flight, worker string, res sim.Result, elapsed
 			})
 		}
 	default:
-		switch {
-		case cached:
+		if cached {
 			m.counters.cacheHits++
-		case remote:
-			m.counters.remoteSims++
-		default:
+		} else {
 			m.counters.simulations++
-		}
-		if !cached && elapsed > 0 {
 			// Fresh execution: fold its duration into the drain-estimate
 			// EWMA that admission-time deadline shedding consults.
 			const alpha = 0.3
 			if m.avgFlightNs == 0 {
 				m.avgFlightNs = float64(elapsed)
-			} else {
+			} else if elapsed > 0 {
 				m.avgFlightNs += alpha * (float64(elapsed) - m.avgFlightNs)
 			}
 		}

@@ -27,10 +27,9 @@ func TestFairShareAlternates(t *testing.T) {
 		Tenant{Name: "a", Token: "ta"},
 		Tenant{Name: "b", Token: "tb"},
 	)
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 32, Tenants: reg})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 32, Tenants: reg})
 
-	blocker, err := m.SubmitAs(Tenant{Name: "a"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.SubmitAs(Tenant{Name: "a"}, []JobSpec{{Label: heldLabel, Config: heldCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +50,7 @@ func TestFairShareAlternates(t *testing.T) {
 		}
 		ids = append(ids, sts[0].ID)
 	}
+	release()
 
 	for _, id := range ids {
 		waitState(t, m, id, StateDone)
@@ -64,7 +64,7 @@ func TestFairShareAlternates(t *testing.T) {
 	}
 	var order []started
 	for _, st := range m.Jobs() {
-		if st.Label == "blocker" || st.StartedAt == nil {
+		if st.Label == heldLabel || st.StartedAt == nil {
 			continue
 		}
 		order = append(order, started{st.Tenant, *st.StartedAt})
@@ -95,10 +95,9 @@ func TestFairShareWeights(t *testing.T) {
 		Tenant{Name: "heavy", Token: "th", Weight: 2},
 		Tenant{Name: "light", Token: "tl", Weight: 1},
 	)
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 64, Tenants: reg})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 64, Tenants: reg})
 
-	blocker, err := m.SubmitAs(Tenant{Name: "light"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.SubmitAs(Tenant{Name: "light"}, []JobSpec{{Label: heldLabel, Config: heldCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +115,7 @@ func TestFairShareWeights(t *testing.T) {
 		}
 		ids = append(ids, h[0].ID, l[0].ID)
 	}
+	release()
 	for _, id := range ids {
 		waitState(t, m, id, StateDone)
 	}
@@ -125,7 +125,7 @@ func TestFairShareWeights(t *testing.T) {
 	// and no more than its 2:1 share plus slack for DRR quantization.
 	var starts []JobStatus
 	for _, st := range m.Jobs() {
-		if st.Label == "blocker" || st.StartedAt == nil {
+		if st.Label == heldLabel || st.StartedAt == nil {
 			continue
 		}
 		starts = append(starts, st)
@@ -153,19 +153,16 @@ func TestFairShareWeights(t *testing.T) {
 // manager: its second job must wait even though a worker idles.
 func TestMaxConcurrent(t *testing.T) {
 	reg := newTestRegistry(t, Tenant{Name: "capped", Token: "tc", MaxConcurrent: 1})
-	m := NewManager(ManagerConfig{Workers: 2, QueueDepth: 16, Tenants: reg})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 2, QueueDepth: 16, Tenants: reg})
 
 	caller := Tenant{Name: "capped"}
-	b1, err := m.SubmitAs(caller, []JobSpec{{Label: "b1", Config: blockerCfg()}})
+	b1, err := m.SubmitAs(caller, []JobSpec{{Label: heldLabel, Config: heldCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, m, b1[0].ID, StateRunning)
 
-	cfg := blockerCfg()
-	cfg.Seed = 100 // distinct key so it cannot dedup onto b1
-	b2, err := m.SubmitAs(caller, []JobSpec{{Label: "b2", Config: cfg}})
+	b2, err := m.SubmitAs(caller, []JobSpec{{Label: "b2", Config: tinyCfg(100)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +172,7 @@ func TestMaxConcurrent(t *testing.T) {
 	if st, _ := m.Job(b2[0].ID); st.State != StateQueued {
 		t.Fatalf("second job is %s, want queued under max_concurrent=1", st.State)
 	}
+	release()
 	waitState(t, m, b1[0].ID, StateDone)
 	waitState(t, m, b2[0].ID, StateDone)
 }
@@ -186,11 +184,10 @@ func TestMaxQueuedQuota(t *testing.T) {
 		Tenant{Name: "small", Token: "ts", MaxQueued: 2},
 		Tenant{Name: "other", Token: "to"},
 	)
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 32, Tenants: reg})
-	defer drainManager(t, m)
+	m, _ := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 32, Tenants: reg})
 
 	small := Tenant{Name: "small"}
-	blocker, err := m.SubmitAs(small, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.SubmitAs(small, []JobSpec{{Label: heldLabel, Config: heldCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +231,10 @@ func TestPriorityPreemption(t *testing.T) {
 		Tenant{Name: "batch", Token: "tb", Priority: 0},
 		Tenant{Name: "urgent", Token: "tu", Priority: 2},
 	)
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 2, Tenants: reg})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 2, Tenants: reg})
 
 	batch := Tenant{Name: "batch"}
-	blocker, err := m.SubmitAs(batch, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.SubmitAs(batch, []JobSpec{{Label: heldLabel, Config: heldCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,6 +267,7 @@ func TestPriorityPreemption(t *testing.T) {
 		t.Fatalf("older low-priority job is %s, want still queued (only `need` victims)", st.State)
 	}
 
+	release()
 	waitState(t, m, urgent[0].ID, StateDone)
 	waitState(t, m, q1[0].ID, StateDone)
 
@@ -301,10 +298,9 @@ func TestPreemptionAllOrNothing(t *testing.T) {
 		Tenant{Name: "batch", Token: "tb", Priority: 0},
 		Tenant{Name: "urgent", Token: "tu", Priority: 1},
 	)
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 2, Tenants: reg})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 2, Tenants: reg})
 
-	blocker, err := m.SubmitAs(Tenant{Name: "urgent"}, []JobSpec{{Label: "blocker", Config: blockerCfg()}})
+	blocker, err := m.SubmitAs(Tenant{Name: "urgent"}, []JobSpec{{Label: heldLabel, Config: heldCfg()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,6 +321,7 @@ func TestPreemptionAllOrNothing(t *testing.T) {
 	if st, _ := m.Job(bq[0].ID); st.State != StateQueued {
 		t.Fatalf("victim canceled by a rejected batch: %s", st.State)
 	}
+	release()
 	waitState(t, m, uq[0].ID, StateDone)
 	waitState(t, m, bq[0].ID, StateDone)
 }

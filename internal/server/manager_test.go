@@ -24,16 +24,66 @@ func tinyCfg(seed uint64) sim.Config {
 	return cfg
 }
 
-// blockerCfg is a simulation long enough (hundreds of ms) to hold a
-// worker busy while a test stages queued jobs behind it. Sized for the
-// event-driven engine's throughput — if engine speedups shrink it below
-// a few hundred ms, staging races on single-CPU runners come back.
-func blockerCfg() sim.Config {
-	cfg := sim.DefaultConfig("mcf")
-	cfg.WarmupInstructions = 10_000
-	cfg.RunInstructions = 32_000_000
-	cfg.Seed = 99
-	return cfg
+// heldLabel marks the flights holdFlights keeps on the execution path.
+const heldLabel = "held"
+
+// heldCfg is the config of a held blocker: a tiny simulation with a seed
+// no other test config uses, so it never dedups onto a test's own jobs.
+func heldCfg() sim.Config { return tinyCfg(990_000) }
+
+// holdFlights makes m hold every flight labelled heldLabel after it
+// starts and before it simulates, until release is called: a busy
+// worker whose end the test controls, in place of a long simulation.
+// Released flights then run their real tiny simulation, so
+// SimulationsRun counts stay exact. Call it before the first
+// submission. The test's end releases too, from a cleanup that runs
+// before any cleanup registered earlier (such as the manager's drain).
+func holdFlights(t *testing.T, m *Manager) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	m.runHook = func(ctx context.Context, label string) {
+		if label != heldLabel {
+			return
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+		}
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// newHeldManager is NewManager with holdFlights installed. The test's
+// end releases the held flights, then drains the manager.
+func newHeldManager(t *testing.T, cfg ManagerConfig) (*Manager, func()) {
+	t.Helper()
+	m := NewManager(cfg)
+	t.Cleanup(func() { drainManager(t, m) })
+	return m, holdFlights(t, m)
+}
+
+// startDrain begins m's drain on another goroutine and returns once
+// draining is visible, by which point every queued job is canceled. The
+// channel delivers Drain's result.
+func startDrain(t *testing.T, m *Manager) <-chan error {
+	t.Helper()
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		drained <- m.Drain(ctx)
+	}()
+	deadline := time.Now().Add(60 * time.Second)
+	for !m.Metrics().Draining {
+		if time.Now().After(deadline) {
+			t.Fatal("manager never started draining")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return drained
 }
 
 // submitOne pushes a single spec and returns its job ID.
@@ -81,10 +131,9 @@ func drainManager(t *testing.T, m *Manager) {
 // the same config from 8 goroutines, and demands exactly one
 // simulation with every job receiving the identical result.
 func TestManagerSingleflightDedup(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning)
 
 	cfg := tinyCfg(42)
@@ -107,6 +156,7 @@ func TestManagerSingleflightDedup(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
+	release()
 
 	var results []sim.Result
 	for _, id := range ids {
@@ -138,10 +188,9 @@ func TestManagerSingleflightDedup(t *testing.T) {
 // TestManagerCancelQueued cancels a job stuck behind a blocker and
 // checks its simulation never runs, without disturbing the manager.
 func TestManagerCancelQueued(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning)
 	target := submitOne(t, m, "target", tinyCfg(7))
 	if st, _ := m.Job(target); st.State != StateQueued {
@@ -160,6 +209,7 @@ func TestManagerCancelQueued(t *testing.T) {
 		t.Fatalf("second cancel: %v (state %s)", err, st.State)
 	}
 
+	release()
 	waitState(t, m, blocker, StateDone)
 	// A fresh job still runs after the canceled flight was skipped.
 	after := submitOne(t, m, "after", tinyCfg(8))
@@ -189,31 +239,19 @@ func TestManagerCancelUnknown(t *testing.T) {
 // TestManagerDrain checks graceful shutdown: the running job finishes,
 // the queued one is canceled, and new submissions are rejected.
 func TestManagerDrain(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
-	running := submitOne(t, m, "running", blockerCfg())
+	running := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, running, StateRunning)
 	queued := submitOne(t, m, "queued", tinyCfg(3))
 
-	drained := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-		defer cancel()
-		drained <- m.Drain(ctx)
-	}()
-
 	// Once draining is visible, submissions must fail.
-	deadline := time.Now().Add(60 * time.Second)
-	for !m.Metrics().Draining {
-		if time.Now().After(deadline) {
-			t.Fatal("manager never started draining")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	drained := startDrain(t, m)
 	if _, err := m.Submit([]JobSpec{{Config: tinyCfg(4)}}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
 
+	release()
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -232,10 +270,9 @@ func TestManagerDrain(t *testing.T) {
 // TestManagerQueueFull checks the bounded-intake contract, including
 // all-or-nothing batch rejection.
 func TestManagerQueueFull(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 1})
-	defer drainManager(t, m)
+	m, _ := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 1})
 
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning) // worker busy, queue empty
 	submitOne(t, m, "fills-queue", tinyCfg(1))
 
@@ -263,10 +300,9 @@ func TestManagerQueueFull(t *testing.T) {
 // config must start a fresh simulation, not attach to the doomed
 // flight and hang forever.
 func TestManagerResubmitAfterCancel(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning)
 	cfg := tinyCfg(55)
 	first := submitOne(t, m, "first", cfg)
@@ -275,6 +311,7 @@ func TestManagerResubmitAfterCancel(t *testing.T) {
 	}
 
 	second := submitOne(t, m, "second", cfg)
+	release()
 	st := waitState(t, m, second, StateDone)
 	if st.Result == nil {
 		t.Fatal("resubmitted job finished without a result")
@@ -288,15 +325,15 @@ func TestManagerResubmitAfterCancel(t *testing.T) {
 // subscriber of a RUNNING flight must not fail a job that attaches to
 // the same config while the simulation is still in flight.
 func TestManagerCancelDoesNotPoisonRunningFlight(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
-	orig := submitOne(t, m, "orig", blockerCfg())
+	orig := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, orig, StateRunning)
 	if _, err := m.Cancel(orig); err != nil {
 		t.Fatal(err)
 	}
-	attach := submitOne(t, m, "late-attacher", blockerCfg())
+	attach := submitOne(t, m, "late-attacher", heldCfg())
+	release()
 	st := waitState(t, m, attach, StateDone)
 	if st.Result == nil {
 		t.Fatal("late attacher finished without a result")
@@ -349,10 +386,9 @@ func TestManagerRetention(t *testing.T) {
 // their bounded-queue slots immediately, not tombstone them until a
 // worker gets around to skipping them.
 func TestManagerCancelFreesQueueSlots(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 2})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 2})
 
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning)
 	q1 := submitOne(t, m, "q1", tinyCfg(201))
 	q2 := submitOne(t, m, "q2", tinyCfg(202))
@@ -367,6 +403,7 @@ func TestManagerCancelFreesQueueSlots(t *testing.T) {
 	}
 	// Both slots must be free again while the blocker still runs.
 	id := submitOne(t, m, "after-cancel", tinyCfg(203))
+	release()
 	waitState(t, m, id, StateDone)
 }
 
@@ -374,9 +411,9 @@ func TestManagerCancelFreesQueueSlots(t *testing.T) {
 // configs never enter the dedup index, but Drain must still cancel
 // them while queued instead of running them during shutdown.
 func TestManagerDrainCancelsKeylessFlight(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning)
 
 	cfg := tinyCfg(301)
@@ -392,7 +429,11 @@ func TestManagerDrainCancelsKeylessFlight(t *testing.T) {
 		t.Fatalf("custom-mechanism config got key %q", sts[0].Key)
 	}
 
-	drainManager(t, m)
+	drained := startDrain(t, m)
+	release()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
 	if st, _ := m.Job(sts[0].ID); st.State != StateCanceled {
 		t.Errorf("key-less queued job drained to %s, want canceled", st.State)
 	}

@@ -18,15 +18,9 @@ type counters struct {
 	deduped     uint64 // jobs attached to an in-flight identical config
 	cacheHits   uint64 // jobs/flights served from the persistent cache
 	simulations uint64 // fresh simulations executed on this machine
-	remoteSims  uint64 // flights executed on peer daemons (-peers)
-	requeued    uint64 // flights handed back after a peer became unreachable
 	running     int    // flights currently simulating
 
-	// Resilience counters (PR 10): hedged straggler flights, queue-side
-	// deadline enforcement, and poison-job quarantine.
-	hedgesLaunched  uint64 // local backup executions started for straggler remote flights
-	hedgesWon       uint64 // flights the backup finished first (or salvaged after peer loss)
-	quarantined     uint64 // flights failed after killing PoisonThreshold successive workers
+	// Queue-side deadline enforcement.
 	deadlineExpired uint64 // queued jobs failed because their deadline passed
 	deadlineShed    uint64 // submissions rejected at admission as deadline-unmeetable
 
@@ -41,9 +35,9 @@ type counters struct {
 	stages struct{ queueWait, run, served latencyHist }
 
 	// perWorker breaks flight resolution down by executing slot:
-	// "local", "cache" (journal-replayed submission hits), or a peer
-	// name. Phase attribution aggregates the sampled PhaseProfile of
-	// every report the worker produced.
+	// "local" or "cache" (submission hits). Journals written by older
+	// daemons may replay other names. Phase attribution aggregates the
+	// sampled PhaseProfile of every report the worker produced.
 	perWorker map[string]*workerStats
 }
 
@@ -184,18 +178,12 @@ type Metrics struct {
 	JobsRetained  int    `json:"jobs_retained"` // still queryable (bounded by -retain)
 
 	SimulationsRun uint64 `json:"simulations_run"`
-	// RemoteSimulations counts flights executed on peer daemons
-	// (-peers); JobsRequeued counts flights handed back to the queue
-	// after their peer became unreachable mid-run.
-	RemoteSimulations uint64 `json:"remote_simulations,omitempty"`
-	JobsRequeued      uint64 `json:"jobs_requeued,omitempty"`
-	CacheHits         uint64 `json:"cache_hits"`
+	CacheHits      uint64 `json:"cache_hits"`
 	// CacheHitRate is cache-satisfied resolutions over all resolutions:
-	// cache_hits / (cache_hits + simulations_run + remote_simulations).
-	// A resolution is a submission answered straight from the cache or a
-	// flight executed — locally (simulations_run) or on a peer daemon
-	// (remote_simulations); deduped jobs join an existing flight's
-	// resolution and count in no term.
+	// cache_hits / (cache_hits + simulations_run). A resolution is a
+	// submission answered straight from the cache or a flight executed;
+	// deduped jobs join an existing flight's resolution and count in no
+	// term.
 	CacheHitRate float64 `json:"cache_hit_rate"`
 	CacheEntries int     `json:"cache_entries"`
 
@@ -221,15 +209,6 @@ type Metrics struct {
 	// absent on cacheless daemons.
 	ResultStore *StoreMetrics `json:"result_store,omitempty"`
 
-	// Resilience block (PR 10). HedgesLaunched/HedgesWon count straggler
-	// flights raced against a local backup; hedges never double-count
-	// SimulationsRun because only the winning attempt finishes the
-	// flight.
-	HedgesLaunched uint64 `json:"hedges_launched,omitempty"`
-	HedgesWon      uint64 `json:"hedges_won,omitempty"`
-	// PoisonQuarantined counts flights failed after killing
-	// PoisonThreshold successive workers; resubmissions fail fast.
-	PoisonQuarantined uint64 `json:"poison_quarantined,omitempty"`
 	// DeadlineExpired counts queued jobs failed fast after their
 	// propagated deadline passed; DeadlineShed counts submissions
 	// rejected at admission because the estimated queue drain already
@@ -302,32 +281,27 @@ func (m *Manager) Metrics() Metrics {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := Metrics{
-		QueueDepth:        m.sched.total,
-		QueueCapacity:     m.sched.capacity,
-		Running:           m.counters.running,
-		Draining:          m.draining,
-		JobsSubmitted:     m.counters.submitted,
-		JobsCompleted:     m.counters.completed,
-		JobsFailed:        m.counters.failed,
-		JobsCanceled:      m.counters.canceled,
-		JobsDeduped:       m.counters.deduped,
-		JobsRetained:      len(m.jobs),
-		SimulationsRun:    m.counters.simulations,
-		RemoteSimulations: m.counters.remoteSims,
-		JobsRequeued:      m.counters.requeued,
-		CacheHits:         m.counters.cacheHits,
-		HedgesLaunched:    m.counters.hedgesLaunched,
-		HedgesWon:         m.counters.hedgesWon,
-		PoisonQuarantined: m.counters.quarantined,
-		DeadlineExpired:   m.counters.deadlineExpired,
-		DeadlineShed:      m.counters.deadlineShed,
+		QueueDepth:      m.sched.total,
+		QueueCapacity:   m.sched.capacity,
+		Running:         m.counters.running,
+		Draining:        m.draining,
+		JobsSubmitted:   m.counters.submitted,
+		JobsCompleted:   m.counters.completed,
+		JobsFailed:      m.counters.failed,
+		JobsCanceled:    m.counters.canceled,
+		JobsDeduped:     m.counters.deduped,
+		JobsRetained:    len(m.jobs),
+		SimulationsRun:  m.counters.simulations,
+		CacheHits:       m.counters.cacheHits,
+		DeadlineExpired: m.counters.deadlineExpired,
+		DeadlineShed:    m.counters.deadlineShed,
 		Stages: StageMetrics{
 			QueueWait:        m.counters.stages.queueWait.snapshot(),
 			Run:              m.counters.stages.run.snapshot(),
 			FinishedToServed: m.counters.stages.served.snapshot(),
 		},
 	}
-	if total := s.CacheHits + s.SimulationsRun + s.RemoteSimulations; total > 0 {
+	if total := s.CacheHits + s.SimulationsRun; total > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(total)
 	}
 	if m.cache != nil {

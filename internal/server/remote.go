@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 )
@@ -14,18 +13,12 @@ import (
 // from a transport failure (the worker is gone).
 var ErrIneligible = errors.New("job not executable on this daemon")
 
-// Machine-readable failure reasons carried on JobStatus.Reason (and
-// through RemoteJobError.Reason), so fleet schedulers classify terminal
-// failures without parsing error strings.
-const (
-	// ReasonDeadline: the job's propagated deadline expired before it
-	// could finish — retryable on a less loaded worker, not evidence the
-	// simulation or the daemon is broken.
-	ReasonDeadline = "deadline"
-	// ReasonQuarantined: the job was poison-quarantined after killing
-	// successive workers; resubmitting it fails fast.
-	ReasonQuarantined = "quarantined"
-)
+// ReasonDeadline is the machine-readable failure reason carried on
+// JobStatus.Reason (and through RemoteJobError.Reason) when the job's
+// propagated deadline expired before it could finish — retryable on a
+// less loaded worker, not evidence the simulation or the daemon is
+// broken. Fleet schedulers classify it without parsing error strings.
+const ReasonDeadline = "deadline"
 
 // ErrCodeDeadlineUnmeetable is the structured error code of an
 // admission-time load shed: the daemon's estimated queue drain time
@@ -38,32 +31,6 @@ const ErrCodeDeadlineUnmeetable = "deadline_unmeetable"
 // enforce the caller's context deadline queue-side.
 const DeadlineHeader = "X-Ccsimd-Deadline-Ms"
 
-// Remote is an execution backend that runs one job off-process — in
-// practice a peer ccsimd daemon reached through internal/client's Peer
-// adapter (the interface lives here, not in the client package, so the
-// manager can depend on it without an import cycle). A Manager
-// configured with Remotes dedicates Slots() worker goroutines to each,
-// turning one daemon into the front of a fleet: queued flights are
-// pulled by whichever worker — local or remote — frees up first.
-//
-// Run must distinguish the two failure modes the manager treats
-// differently: a *RemoteJobError means the peer accepted the job and
-// the simulation itself failed (the flight fails — retrying elsewhere
-// would fail identically); any other error means the peer is
-// unreachable or unhealthy, and the flight is handed back to the queue
-// for another worker.
-type Remote interface {
-	// Name identifies the backend in logs and errors (its base URL).
-	Name() string
-	// Slots is the backend's concurrent-job capacity: how many worker
-	// goroutines the manager dedicates to it.
-	Slots() int
-	// Run executes one job to a terminal state and returns its final
-	// status (result included). Cancelling ctx must cancel the remote
-	// job best-effort.
-	Run(ctx context.Context, spec JobSpec) (JobStatus, error)
-}
-
 // RemoteJobError reports a job that a remote daemon accepted and then
 // finished unsuccessfully — failed or canceled server-side — as opposed
 // to a transport error, after which the peer's state is unknown and the
@@ -73,7 +40,7 @@ type RemoteJobError struct {
 	JobID    string   // the daemon's job ID
 	State    JobState // failed or canceled
 	Message  string   // the daemon's error string
-	Reason   string   // machine-readable cause (ReasonDeadline, ReasonQuarantined, or "")
+	Reason   string   // machine-readable cause (ReasonDeadline or "")
 }
 
 // Error implements error.

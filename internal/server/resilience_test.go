@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -11,7 +10,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,10 +20,9 @@ import (
 // deadline passes before a worker frees up is failed fast with reason
 // "deadline" — it never occupies a scheduler slot.
 func TestManagerDeadlineExpiresQueuedJob(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
-	defer drainManager(t, m)
+	m, release := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning)
 
 	sts, err := m.Submit([]JobSpec{{
@@ -48,6 +45,7 @@ func TestManagerDeadlineExpiresQueuedJob(t *testing.T) {
 	}
 
 	// The expiry must not disturb the running flight.
+	release()
 	waitState(t, m, blocker, StateDone)
 }
 
@@ -55,8 +53,7 @@ func TestManagerDeadlineExpiresQueuedJob(t *testing.T) {
 // branches: a deadline already in the past, and a deadline the
 // estimated queue drain (EWMA of fresh flight durations) cannot meet.
 func TestManagerDeadlineShedsAtAdmission(t *testing.T) {
-	m := NewManager(ManagerConfig{Workers: 1, QueueDepth: 16})
-	defer drainManager(t, m)
+	m, _ := newHeldManager(t, ManagerConfig{Workers: 1, QueueDepth: 16})
 
 	// Past deadline: shed even on an idle manager.
 	_, err := m.Submit([]JobSpec{{
@@ -70,10 +67,15 @@ func TestManagerDeadlineShedsAtAdmission(t *testing.T) {
 	}
 
 	// Seed the drain estimate with one real flight, occupy the worker,
-	// and submit a deadline far shorter than the estimated drain.
-	seed := submitOne(t, m, "seed", tinyCfg(61))
+	// and submit a deadline far shorter than the estimated drain. The
+	// seed runs 2M instructions (tens of ms): a tiny flight can finish
+	// in under a millisecond, leaving an estimate no longer than the
+	// 1 ms deadline below.
+	seedCfg := tinyCfg(61)
+	seedCfg.RunInstructions = 2_000_000
+	seed := submitOne(t, m, "seed", seedCfg)
 	waitState(t, m, seed, StateDone)
-	blocker := submitOne(t, m, "blocker", blockerCfg())
+	blocker := submitOne(t, m, heldLabel, heldCfg())
 	waitState(t, m, blocker, StateRunning)
 
 	_, err = m.Submit([]JobSpec{{
@@ -83,6 +85,9 @@ func TestManagerDeadlineShedsAtAdmission(t *testing.T) {
 	}})
 	if !errors.As(err, &derr) {
 		t.Fatalf("unmeetable submit returned %v, want *DeadlineError", err)
+	}
+	if derr.Estimate <= 0 {
+		t.Errorf("unmeetable shed carries no drain estimate: %v", derr)
 	}
 	if mt := m.Metrics(); mt.DeadlineShed != 2 {
 		t.Errorf("DeadlineShed = %d, want 2", mt.DeadlineShed)
@@ -147,110 +152,6 @@ func TestSubmitDeadlineHeaderSheds(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, sr.Jobs[0].ID, StateDone)
-}
-
-// TestManagerHedgesStragglerPeer: with HedgeAfter set, a flight stuck
-// on a straggling peer gets a local second attempt; the first result
-// wins, the loser is cancelled, the peer keeps its slot, and
-// SimulationsRun is never double-counted.
-func TestManagerHedgesStragglerPeer(t *testing.T) {
-	var calls atomic.Int64
-	peer := &remoteFunc{name: "peer-slow", slots: 1, run: func(ctx context.Context, spec JobSpec) (JobStatus, error) {
-		if calls.Add(1) == 1 {
-			<-ctx.Done() // straggle until the winning hedge cancels us
-			return JobStatus{}, ctx.Err()
-		}
-		results, err := sweep.Run(ctx, []sweep.Job{{Label: spec.Label, Config: spec.Config}}, sweep.Options{Workers: 1})
-		if err != nil {
-			return JobStatus{}, &RemoteJobError{Endpoint: "peer-slow", State: StateFailed, Message: err.Error()}
-		}
-		return JobStatus{State: StateDone, Result: &results[0]}, nil
-	}}
-	m := NewManager(ManagerConfig{
-		Workers:    NoLocalWorkers,
-		Remotes:    []Remote{peer},
-		HedgeAfter: 40 * time.Millisecond,
-	})
-	defer drainManager(t, m)
-
-	cfg := tinyCfg(80)
-	a := submitOne(t, m, "straggler", cfg)
-	st := waitState(t, m, a, StateDone)
-	want, err := sweep.Run(context.Background(), []sweep.Job{{Config: cfg}}, sweep.Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Result == nil || st.Result.CPUCycles != want[0].CPUCycles {
-		t.Error("hedged result differs from a local run")
-	}
-	mt := m.Metrics()
-	if mt.HedgesLaunched != 1 || mt.HedgesWon != 1 {
-		t.Errorf("HedgesLaunched=%d HedgesWon=%d, want 1/1", mt.HedgesLaunched, mt.HedgesWon)
-	}
-	if mt.SimulationsRun != 1 || mt.RemoteSimulations != 0 {
-		t.Errorf("local=%d remote=%d simulations after hedge, want 1/0 (no double count)",
-			mt.SimulationsRun, mt.RemoteSimulations)
-	}
-
-	// The straggler was slow, not dead: its slot survived and serves the
-	// next flight remotely.
-	b := submitOne(t, m, "healthy", tinyCfg(81))
-	waitState(t, m, b, StateDone)
-	mt = m.Metrics()
-	if mt.RemoteSimulations != 1 {
-		t.Errorf("RemoteSimulations = %d after recovery, want 1 (the peer kept its slot)", mt.RemoteSimulations)
-	}
-	if mt.SimulationsRun != 1 {
-		t.Errorf("SimulationsRun = %d, want still 1", mt.SimulationsRun)
-	}
-}
-
-// TestManagerPoisonQuarantine: a flight whose execution kills three
-// successive workers is failed with reason "quarantined" instead of
-// cascading through the fleet, and resubmissions of the same config
-// fail fast at admission.
-func TestManagerPoisonQuarantine(t *testing.T) {
-	mkDead := func(name string) *remoteFunc {
-		return &remoteFunc{name: name, slots: 1, run: func(ctx context.Context, spec JobSpec) (JobStatus, error) {
-			return JobStatus{}, errors.New("connection reset by " + name)
-		}}
-	}
-	m := NewManager(ManagerConfig{
-		Workers: NoLocalWorkers,
-		Remotes: []Remote{mkDead("p1"), mkDead("p2"), mkDead("p3")},
-	})
-	defer drainManager(t, m)
-
-	cfg := tinyCfg(90)
-	id := submitOne(t, m, "poison", cfg)
-	st := waitState(t, m, id, StateFailed)
-	if st.Reason != ReasonQuarantined {
-		t.Errorf("Reason = %q, want %q", st.Reason, ReasonQuarantined)
-	}
-	if !strings.Contains(st.Error, "quarantined") {
-		t.Errorf("error %q does not mention quarantine", st.Error)
-	}
-	mt := m.Metrics()
-	if mt.PoisonQuarantined != 1 {
-		t.Errorf("PoisonQuarantined = %d, want 1", mt.PoisonQuarantined)
-	}
-	if mt.JobsRequeued != 2 {
-		t.Errorf("JobsRequeued = %d, want 2 (two hand-backs before the third crash quarantined)", mt.JobsRequeued)
-	}
-
-	// Resubmitting the poison config fails fast instead of eating more
-	// workers.
-	_, err := m.Submit([]JobSpec{{Label: "again", Config: cfg}})
-	if !errors.Is(err, ErrQuarantined) {
-		t.Errorf("resubmit of quarantined config returned %v, want ErrQuarantined", err)
-	}
-
-	// The manager survived losing every peer: other jobs run locally.
-	ok := submitOne(t, m, "survivor", tinyCfg(91))
-	waitState(t, m, ok, StateDone)
-	if mt := m.Metrics(); mt.SimulationsRun != 1 {
-		t.Errorf("SimulationsRun = %d after peer loss, want 1", mt.SimulationsRun)
-	}
 }
 
 // TestManagerStorageDegradedMode: when every durable-tier disk write

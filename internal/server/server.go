@@ -311,7 +311,7 @@ func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
 }
 
 // Health is the /healthz body. Workers and TraceRoot let fleet
-// dispatchers (internal/dispatch, ccsimd -peers) weight assignment by
+// dispatchers (internal/dispatch) weight assignment by
 // capacity and decide whether trace-file configs may be submitted here.
 type Health struct {
 	Status  string  `json:"status"`

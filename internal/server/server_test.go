@@ -328,7 +328,8 @@ func readSSE(t *testing.T, r io.Reader) []sseEvent {
 // running, done-with-result — followed by the done frame.
 func TestHTTPSSEStream(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
-	blocker := submitHTTP(t, d, JobSpec{Label: "blocker", Config: blockerCfg()})[0]
+	release := holdFlights(t, d.m)
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0]
 	target := submitHTTP(t, d, JobSpec{Label: "target", Config: tinyCfg(5)})[0]
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -349,6 +350,7 @@ func TestHTTPSSEStream(t *testing.T) {
 		t.Fatalf("events content type %q", ct)
 	}
 
+	release()
 	events := readSSE(t, resp.Body)
 	if len(events) == 0 || events[len(events)-1].event != "done" {
 		t.Fatalf("stream did not end with a done frame: %+v", events)
@@ -438,7 +440,8 @@ func TestHTTPSSETerminalJob(t *testing.T) {
 // TestHTTPCancel cancels a queued job over the API.
 func TestHTTPCancel(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
-	blocker := submitHTTP(t, d, JobSpec{Label: "blocker", Config: blockerCfg()})[0]
+	release := holdFlights(t, d.m)
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0]
 	target := submitHTTP(t, d, JobSpec{Label: "target", Config: tinyCfg(9)})[0]
 
 	var st JobStatus
@@ -451,6 +454,7 @@ func TestHTTPCancel(t *testing.T) {
 	if code := doJSON(t, http.MethodDelete, d.url("/v1/jobs/nope"), nil, nil); code != http.StatusNotFound {
 		t.Fatalf("cancel unknown: HTTP %d, want 404", code)
 	}
+	release()
 	pollDone(t, d, blocker.ID)
 	met := d.m.Metrics()
 	if met.SimulationsRun != 1 {
@@ -496,7 +500,8 @@ func TestHTTPErrors(t *testing.T) {
 // TestHTTPQueueFull maps ErrQueueFull to 429.
 func TestHTTPQueueFull(t *testing.T) {
 	d := startDaemon(t, "", 1, 1)
-	blocker := submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0]
+	holdFlights(t, d.m)
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0]
 	// Wait until the worker picked the blocker up so the queue is free.
 	deadline := time.Now().Add(60 * time.Second)
 	for {

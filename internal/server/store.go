@@ -87,25 +87,10 @@ func (s *resultStore) Lookup(key string) (sim.Result, bool) {
 	return res, ok
 }
 
-// Put writes res through to the persistent cache and promotes it into
-// the hot tier, so the just-finished flight's subscribers (and the
-// resubmissions that immediately follow a campaign) are served hot.
-func (s *resultStore) Put(key string, res sim.Result) error {
-	if s == nil {
-		return nil
-	}
-	if err := s.cache.PutKeyed(key, res); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.promoteLocked(key, res)
-	s.mu.Unlock()
-	return nil
-}
-
 // promote inserts res into the hot tier without touching the cold
-// tier — for results whose persistent write already happened elsewhere
-// (the local execution path, where sweep.Run owns the cache write).
+// tier: the persistent write already happened in sweep.Run, which owns
+// the cache write. The just-finished flight's subscribers (and the
+// resubmissions that immediately follow a campaign) are served hot.
 func (s *resultStore) promote(key string, res sim.Result) {
 	if s == nil {
 		return

@@ -68,7 +68,7 @@ func (b *analysisBroker) ingest(batch analysis.StreamBatch) {
 
 // finish seals the broker with the flight's outcome. rep may be nil
 // (failed flight, or analysis disabled after all); for flights that
-// never streamed live (remote execution, cache hits inside the sweep)
+// never streamed live (cache hits inside the sweep)
 // the synthesized snapshot gets sequence 1.
 func (b *analysisBroker) finish(rep *analysis.Report, err error) {
 	b.mu.Lock()
@@ -265,6 +265,9 @@ func (s *Server) handleAnalysisStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
+	// Send the headers now: a queued job has no batch to replay yet, and
+	// its subscriber should learn it is subscribed before the job starts.
+	flusher.Flush()
 	send := func(b analysis.StreamBatch) bool {
 		blob, err := json.Marshal(b)
 		if err != nil {

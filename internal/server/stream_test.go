@@ -120,13 +120,15 @@ func fetchAnalysisJSON(t *testing.T, d *testDaemon, id string) []byte {
 // exactly the bytes /v1/analysis/{id} serves afterwards.
 func TestHTTPAnalysisStreamLiveMatchesFinal(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
-	blocker := submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0].ID
+	release := holdFlights(t, d.m)
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0].ID
 	id := submitHTTP(t, d, JobSpec{Label: "live", Config: phaseCfg(430)})[0].ID
 
 	// Subscribe before the job starts running: the broker exists from
 	// submission, so this stream sees the whole run live.
 	s := openSSE(t, d.url("/v1/analysis/"+id+"/stream"), 0)
 	defer s.close()
+	release()
 
 	acc := analysis.NewStreamAccumulator()
 	var lastSeq uint64
@@ -177,7 +179,8 @@ finished:
 // catch-up snapshot heals whatever the dropped connection missed.
 func TestHTTPAnalysisStreamResume(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
-	blocker := submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0].ID
+	release := holdFlights(t, d.m)
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0].ID
 	id := submitHTTP(t, d, JobSpec{Label: "resume", Config: analysisCfg(431)})[0].ID
 
 	acc := analysis.NewStreamAccumulator()
@@ -185,6 +188,7 @@ func TestHTTPAnalysisStreamResume(t *testing.T) {
 
 	// First connection: read at most two batches, then drop it.
 	s := openSSE(t, d.url("/v1/analysis/"+id+"/stream"), 0)
+	release()
 	for read := 0; read < 2; {
 		ev, ok := s.next(t)
 		if !ok || ev.event == "done" {
@@ -240,7 +244,8 @@ func TestHTTPAnalysisStreamResume(t *testing.T) {
 // sequence must be exactly 1..N with no gap and no duplicate.
 func TestHTTPJobEventsResumeNoGaps(t *testing.T) {
 	d := startDaemon(t, "", 1, 16)
-	blocker := submitHTTP(t, d, JobSpec{Config: blockerCfg()})[0].ID
+	release := holdFlights(t, d.m)
+	blocker := submitHTTP(t, d, JobSpec{Label: heldLabel, Config: heldCfg()})[0].ID
 	id := submitHTTP(t, d, JobSpec{Config: tinyCfg(432)})[0].ID
 
 	var seqs []uint64
@@ -255,6 +260,7 @@ func TestHTTPJobEventsResumeNoGaps(t *testing.T) {
 	}
 	seqs = append(seqs, first)
 	s.close() // dropped connection
+	release()
 
 	s = openSSE(t, d.url("/v1/jobs/"+id+"/events"), first)
 	defer s.close()

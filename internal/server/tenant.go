@@ -48,7 +48,7 @@ type Tenant struct {
 	Name string `json:"name"`
 	// Token is the bearer credential (Authorization: Bearer <token>).
 	// A tenant without a token cannot authenticate directly; it can
-	// still be attributed jobs by a gateway principal (fleet fronts).
+	// still be attributed jobs by a Gateway principal.
 	Token string `json:"token,omitempty"`
 	// Disabled rejects the tenant's requests with 403 while keeping its
 	// history (metrics, journal attribution) intact.
@@ -76,10 +76,10 @@ type Tenant struct {
 	RatePerSec float64 `json:"rate_per_sec,omitempty"`
 	// Burst is the bucket capacity (<= 0 means max(1, RatePerSec)).
 	Burst int `json:"burst,omitempty"`
-	// Gateway marks fleet-internal service accounts (a ccsimd front
-	// forwarding to peers): their submissions may attribute jobs to
-	// other tenants via JobSpec.Tenant, so fleet-wide quotas and dedup
-	// follow the original caller instead of the forwarding daemon.
+	// Gateway marks an operator or service account: it sees every
+	// tenant's jobs, and its submissions may attribute jobs to other
+	// tenants via JobSpec.Tenant, so quotas and attribution follow the
+	// tenant it acts for instead of the account itself.
 	Gateway bool `json:"gateway,omitempty"`
 }
 
@@ -224,8 +224,9 @@ func (r *Registry) Authenticate(authorization string) (Tenant, error) {
 }
 
 // Lookup returns the tenant named name. Unknown names (and any name on
-// a nil registry) return a zero-quota default so forwarded attributions
-// from a fleet front never fail, only default to unlimited.
+// a nil registry) return a zero-quota default so a Gateway's
+// attribution to an unregistered tenant never fails, only defaults to
+// unlimited.
 func (r *Registry) Lookup(name string) Tenant {
 	if r == nil {
 		return Tenant{Name: name}

@@ -164,10 +164,14 @@ func TestResultStoreLRU(t *testing.T) {
 		r.CPUCycles = uint64(i + 1)
 		return r
 	}
+	// The execution path's write: sweep.Run writes the cold tier, then
+	// the manager promotes the result into the hot tier.
 	for i := 0; i < 3; i++ {
-		if err := s.Put(fmt.Sprintf("k%d", i), res(i)); err != nil {
+		key := fmt.Sprintf("k%d", i)
+		if err := cache.PutKeyed(key, res(i)); err != nil {
 			t.Fatalf("put %d: %v", i, err)
 		}
+		s.promote(key, res(i))
 	}
 	m := s.metrics()
 	if m.HotEntries != 2 || m.Evictions != 1 {
@@ -203,9 +207,9 @@ func TestResultStoreLRU(t *testing.T) {
 		}
 	}
 
-	// promote fills the hot tier only — the local execution path, where
-	// sweep.Run owns the persistent write. It still evicts past
-	// capacity and the promoted key serves as a hot hit.
+	// promote fills the hot tier only: sweep.Run owns the persistent
+	// write. It still evicts past capacity and the promoted key serves
+	// as a hot hit.
 	s.promote("hot-only", res(7))
 	m = s.metrics()
 	if m.HotEntries != 2 || m.Evictions != 3 {
@@ -222,9 +226,6 @@ func TestResultStoreLRU(t *testing.T) {
 	var nilStore *resultStore
 	if _, ok := nilStore.Lookup("k"); ok {
 		t.Fatal("nil store hit")
-	}
-	if err := nilStore.Put("k", sim.Result{}); err != nil {
-		t.Fatal(err)
 	}
 	nilStore.promote("k", sim.Result{})
 	if nilStore.metrics() != nil {
