@@ -142,23 +142,27 @@ bench-simcore:
 	$(GO) run $(LDFLAGS) ./cmd/benchrecord -out BENCH_simcore.json
 
 # bench-check reruns the campaign without touching the committed file
-# and fails on a per-workload speedup below 1x or a >10% aggregate
-# configs_per_sec regression against the committed BENCH_simcore.json.
+# and fails on a per-workload speedup below 1x, a >10% aggregate
+# configs_per_sec regression, or more than twice the committed
+# alloc_bytes_per_config, against the committed BENCH_simcore.json.
 # The zero-alloc gate first proves the perf-analyzer probe hooks stay
 # allocation-free on the simulation hot paths, disabled and enabled.
 .PHONY: bench-check
 bench-check: zero-alloc-check
 	$(GO) run $(LDFLAGS) ./cmd/benchrecord -out /tmp/BENCH_simcore.fresh.json -compare BENCH_simcore.json
 
-# zero-alloc-check runs every testing.AllocsPerRun gate in the module
-# (any test named *ZeroAlloc*): DRAM command issue, ChargeCache
-# operations, address mapping, the analysis collector's steady state,
-# and the phase timer. The same functions carry //ccsim:zeroalloc, so
-# `make lint` rejects allocating constructs in them at analysis time
-# too. CI calls this target, so both run the same gates.
+# zero-alloc-check runs every allocation gate in the module: each
+# testing.AllocsPerRun gate (any test named *ZeroAlloc*) — DRAM command
+# issue, ChargeCache operations, address mapping, the analysis
+# collector's steady state, and the phase timer — and the byte budget
+# of a second sim.New + Run (TestRunAllocBudget), which holds only
+# while the LLC's line arrays are recycled between simulations. The
+# AllocsPerRun functions carry //ccsim:zeroalloc, so `make lint`
+# rejects allocating constructs in them at analysis time too. CI calls
+# this target, so both run the same gates.
 .PHONY: zero-alloc-check
 zero-alloc-check:
-	$(GO) test -run 'ZeroAlloc' -count=1 ./...
+	$(GO) test -run 'ZeroAlloc|AllocBudget' -count=1 ./...
 
 # dashboard-smoke boots a scratch daemon headlessly and checks the
 # whole observability surface end to end: the embedded page (and its

@@ -10,8 +10,9 @@
 // two separate full passes are not.
 //
 // Recorded per engine: campaign wall clock, ns per simulated
-// megacycle, and sweep throughput (configs/sec); for the event-driven
-// engine additionally the fraction of cycles it actually executed.
+// megacycle, sweep throughput (configs/sec), and heap bytes allocated
+// per config (sim.New + Run); for the event-driven engine additionally
+// the fraction of cycles it actually executed.
 // The headline "speedup" is stepper wall clock over event wall clock
 // for the identical campaign — both engines produce bit-identical
 // Results (see internal/sim/differential_test.go), so the comparison
@@ -26,7 +27,10 @@
 //
 //   - -compare FILE diffs the fresh numbers against a committed
 //     BENCH_simcore.json and fails on a >10% (-max-regress) drop in
-//     either engine's aggregate configs_per_sec.
+//     either engine's aggregate configs_per_sec, or on either engine
+//     allocating more than twice the committed bytes per config. The
+//     allocation check gives the same verdict on any host; the
+//     throughput check depends on the host's speed.
 //
 //     benchrecord                  # full campaign, writes BENCH_simcore.json
 //     benchrecord -quick           # 6-workload subset (CI smoke)
@@ -59,6 +63,20 @@ type engineStats struct {
 	ExecutedCycles    int64   `json:"executed_cycles"`
 	TotalCycles       int64   `json:"total_cycles"`
 	InstructionsTotal uint64  `json:"instructions_total"`
+	// AllocBytesPerConfig is the heap allocated by sim.New + Run
+	// (runtime.MemStats.TotalAlloc), averaged over the campaign.
+	AllocBytesPerConfig float64 `json:"alloc_bytes_per_config"`
+}
+
+// maxAllocGrowth is the -compare bound on alloc_bytes_per_config: a
+// fresh value above this multiple of the committed one fails.
+const maxAllocGrowth = 2.0
+
+// totalAlloc reports the process's cumulative heap allocation.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
 }
 
 // workloadRow is the per-workload breakdown (5 configs each).
@@ -151,18 +169,22 @@ func main() {
 		perWorkload[name] = &workloadRow{Workload: name}
 	}
 
-	runOne := func(cfg sim.Config, stepper bool) (time.Duration, sim.Result, *sim.System) {
+	// runOne runs cfg under one engine and returns Run's wall clock and
+	// the bytes New and Run allocated.
+	runOne := func(cfg sim.Config, stepper bool) (time.Duration, uint64, sim.Result, *sim.System) {
 		cfg.Stepper = stepper
+		alloc0 := totalAlloc()
 		sys, err := sim.New(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
 		res, err := sys.Run()
+		wall := time.Since(start)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return time.Since(start), res, sys
+		return wall, totalAlloc() - alloc0, res, sys
 	}
 	retired := func(res sim.Result) uint64 {
 		var n uint64
@@ -174,18 +196,21 @@ func main() {
 
 	var stStats, evStats engineStats
 	var stTotal, evTotal time.Duration
+	var stAlloc, evAlloc uint64
 	for _, j := range jobs {
 		row := perWorkload[j.workload]
 
-		wall, res, sys := runOne(j.cfg, true)
+		wall, alloc, res, sys := runOne(j.cfg, true)
 		stTotal += wall
+		stAlloc += alloc
 		stStats.TotalCycles += sys.TotalCycles()
 		stStats.ExecutedCycles += sys.ExecutedCycles()
 		stStats.InstructionsTotal += retired(res)
 		row.StepperMS += float64(wall) / float64(time.Millisecond)
 
-		wall, res, sys = runOne(j.cfg, false)
+		wall, alloc, res, sys = runOne(j.cfg, false)
 		evTotal += wall
+		evAlloc += alloc
 		evStats.TotalCycles += sys.TotalCycles()
 		evStats.ExecutedCycles += sys.ExecutedCycles()
 		evStats.InstructionsTotal += retired(res)
@@ -194,17 +219,18 @@ func main() {
 		row.ExecFraction += float64(sys.ExecutedCycles()) / float64(sys.TotalCycles()) / float64(len(mechs))
 	}
 
-	finish := func(st *engineStats, total time.Duration, name string) {
+	finish := func(st *engineStats, total time.Duration, alloc uint64, name string) {
 		st.WallMS = float64(total) / float64(time.Millisecond)
 		st.SimMegacycles = float64(st.TotalCycles) / 1e6
 		st.NsPerMegacycle = float64(total.Nanoseconds()) / st.SimMegacycles
 		st.ConfigsPerSec = float64(len(jobs)) / total.Seconds()
-		log.Printf("%-7s %7.0f ms  %8.0f ns/Mcycle  %6.2f configs/s",
-			name, st.WallMS, st.NsPerMegacycle, st.ConfigsPerSec)
+		st.AllocBytesPerConfig = float64(alloc) / float64(len(jobs))
+		log.Printf("%-7s %7.0f ms  %8.0f ns/Mcycle  %6.2f configs/s  %8.0f B/config",
+			name, st.WallMS, st.NsPerMegacycle, st.ConfigsPerSec, st.AllocBytesPerConfig)
 	}
-	finish(&stStats, stTotal, "stepper")
+	finish(&stStats, stTotal, stAlloc, "stepper")
 	evStats.ExecutedFraction = float64(evStats.ExecutedCycles) / float64(evStats.TotalCycles)
-	finish(&evStats, evTotal, "event")
+	finish(&evStats, evTotal, evAlloc, "event")
 	rec.Engines["stepper"] = stStats
 	rec.Engines["event"] = evStats
 
@@ -242,8 +268,10 @@ func main() {
 	}
 }
 
-// compareAgainst diffs the fresh record's aggregate throughput against a
-// committed baseline and errors on a regression beyond tolerance.
+// compareAgainst diffs the fresh record's aggregate throughput and
+// allocation against a committed baseline and errors on a throughput
+// regression beyond tolerance or allocation growth beyond
+// maxAllocGrowth. A baseline without a number skips that check.
 func compareAgainst(path string, fresh record, tolerance float64) error {
 	blob, err := os.ReadFile(path)
 	if err != nil {
@@ -254,6 +282,14 @@ func compareAgainst(path string, fresh record, tolerance float64) error {
 		return fmt.Errorf("compare %s: %w", path, err)
 	}
 	for _, engine := range []string{"stepper", "event"} {
+		if was := base.Engines[engine].AllocBytesPerConfig; was > 0 {
+			now := fresh.Engines[engine].AllocBytesPerConfig
+			log.Printf("compare %-7s B/config:  committed %.0f, fresh %.0f (%.2fx)", engine, was, now, now/was)
+			if now > maxAllocGrowth*was {
+				return fmt.Errorf("compare: %s engine allocates %.0f B/config, more than %.0fx the committed %.0f in %s",
+					engine, now, maxAllocGrowth, was, path)
+			}
+		}
 		was := base.Engines[engine].ConfigsPerSec
 		now := fresh.Engines[engine].ConfigsPerSec
 		if was <= 0 {

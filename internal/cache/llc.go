@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/prof"
 )
@@ -119,11 +120,10 @@ type LLC struct {
 	cfg  Config
 	sets int
 
-	tags  []uint64
-	valid []bool
-	dirty []bool
-	used  []uint64
-	tick  uint64
+	// lineArrays is the per-line state, taken from linePool by New and
+	// handed back by Release.
+	lineArrays
+	tick uint64
 
 	mshrs []mshrSlot
 	// mshrLive lists the indexes of in-use slots, so lookups scan only
@@ -162,6 +162,54 @@ type LLC struct {
 	profDiv  int64
 }
 
+// lineArrays is the per-line state of one LLC: every line's tag, LRU
+// stamp, valid bit and dirty bit. It is the only part of the cache
+// that grows with capacity (1.18 MB at Table 1's 4 MB), so instead of
+// leaving it to the garbage collector after every simulation, Release
+// returns it to linePool for the next New of the same size.
+type lineArrays struct {
+	tags  []uint64
+	used  []uint64
+	valid []bool
+	dirty []bool
+}
+
+// linePool holds released *lineArrays for reuse by New.
+var linePool sync.Pool
+
+// getLines returns cleared arrays for n lines: pooled ones when the
+// pool holds that size, fresh ones otherwise (a pooled set of another
+// size is dropped for the collector).
+func getLines(n int) lineArrays {
+	if a, ok := linePool.Get().(*lineArrays); ok && len(a.tags) == n {
+		clear(a.tags)
+		clear(a.used)
+		clear(a.valid)
+		clear(a.dirty)
+		return *a
+	}
+	return lineArrays{
+		tags:  make([]uint64, n),
+		used:  make([]uint64, n),
+		valid: make([]bool, n),
+		dirty: make([]bool, n),
+	}
+}
+
+// Release hands the line arrays back for reuse by a later New and
+// drops the cache's references to them, so any further Access, Tick or
+// content query panics instead of reading or corrupting another
+// cache's lines. Counters (Stats) stay readable. Release is for a
+// cache whose simulation has finished; calling it again is a no-op.
+func (c *LLC) Release() {
+	if c.tags == nil {
+		return
+	}
+	lines := c.lineArrays
+	linePool.Put(&lines)
+	c.lineArrays = lineArrays{}
+}
+
 // SetProfiler installs the sampled phase timer on Access (nil removes
 // it). clockDiv is the CPU-to-bus clock ratio: the LLC runs on the CPU
 // clock, while the profiler buckets samples by bus cycle.
@@ -174,6 +222,9 @@ func (c *LLC) SetProfiler(t *prof.Timer, clockDiv int) {
 }
 
 // New builds an LLC; cfg must validate and backend must be non-nil.
+// Its line arrays come cleared from the pool that Release fills, so a
+// cache built after another one's Release starts exactly as empty as a
+// freshly allocated one.
 func New(cfg Config, backend Backend) (*LLC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -183,14 +234,11 @@ func New(cfg Config, backend Backend) (*LLC, error) {
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	c := &LLC{
-		cfg:     cfg,
-		sets:    lines / cfg.Ways,
-		tags:    make([]uint64, lines),
-		valid:   make([]bool, lines),
-		dirty:   make([]bool, lines),
-		used:    make([]uint64, lines),
-		mshrs:   make([]mshrSlot, cfg.MSHRs),
-		backend: backend,
+		cfg:        cfg,
+		sets:       lines / cfg.Ways,
+		lineArrays: getLines(lines),
+		mshrs:      make([]mshrSlot, cfg.MSHRs),
+		backend:    backend,
 	}
 	c.mshrLive = make([]int32, 0, cfg.MSHRs)
 	for i := range c.mshrs {

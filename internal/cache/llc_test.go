@@ -333,3 +333,51 @@ func TestCapacityNeverExceeded(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A cache built after another one's Release starts empty, whatever the
+// released cache held, and has the line count of its own config.
+func TestReleasedLinesComeBackCleared(t *testing.T) {
+	cfg := testConfig()
+	b := newFakeBackend()
+	c := mustLLC(t, cfg, b)
+	for i := 0; i < 64; i++ {
+		c.Access(0, uint64(i)*64, true, 0, nil)
+	}
+	if c.DirtyLines() != 64 {
+		t.Fatalf("dirty lines = %d, want 64", c.DirtyLines())
+	}
+	c.Release()
+	c.Release() // a second Release is a no-op, not a double Put
+	if c.Stats().WriteFills != 64 {
+		t.Error("Release lost the counters")
+	}
+
+	for _, size := range []int{cfg.SizeBytes, cfg.SizeBytes / 2, cfg.SizeBytes} {
+		next := cfg
+		next.SizeBytes = size
+		d := mustLLC(t, next, newFakeBackend())
+		if n := len(d.tags); n != size/cfg.LineBytes {
+			t.Fatalf("size %d: %d lines, want %d", size, n, size/cfg.LineBytes)
+		}
+		if d.Contents() != 0 || d.DirtyLines() != 0 {
+			t.Fatalf("size %d: reused cache holds %d lines, %d dirty", size, d.Contents(), d.DirtyLines())
+		}
+		if res := d.Access(0, 0, false, 0, func() {}); res != Miss {
+			t.Fatalf("size %d: first access to a fresh cache = %v, want miss", size, res)
+		}
+		d.Release()
+	}
+}
+
+// Use after Release panics rather than touching lines another cache
+// may now own.
+func TestAccessAfterReleasePanics(t *testing.T) {
+	c := mustLLC(t, testConfig(), newFakeBackend())
+	c.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("Access after Release did not panic")
+		}
+	}()
+	c.Access(0, 0, false, 0, func() {})
+}

@@ -76,11 +76,15 @@ func (r Result) IPCs() []float64 {
 func (r Result) HitRate() float64 { return r.Mechanism.HitRate() }
 
 // Run executes warm-up and the measured window and returns the results.
+// On return, successful or not, the LLC's line arrays go back to the
+// cache package's pool for the next System; a System that is built but
+// never run leaves its arrays to the garbage collector.
 func (s *System) Run() (Result, error) {
 	if s.ran {
 		return Result{}, fmt.Errorf("sim: System.Run called twice")
 	}
 	s.ran = true
+	defer s.llc.Release()
 
 	if s.cfg.WarmupInstructions > 0 {
 		warmCap := s.cycleCap(s.cfg.WarmupInstructions)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -80,9 +81,20 @@ func fileDigest(path string) ([]byte, error) {
 }
 
 // cacheFile is the persisted form: {"version":1,"entries":{key:Result}}.
+// OpenCache decodes it with each entry left encoded, then decodes the
+// entries one by one, keeping every entry's bytes for later snapshots.
 type cacheFile struct {
-	Version int                   `json:"version"`
-	Entries map[string]sim.Result `json:"entries"`
+	Version int                        `json:"version"`
+	Entries map[string]json.RawMessage `json:"entries"`
+}
+
+// entry is one stored result together with its JSON encoding. The
+// encoding is made once, when the result is stored (or read from the
+// file), so rewriting the file after a Put encodes one result, not
+// every result in the store.
+type entry struct {
+	res sim.Result
+	raw json.RawMessage
 }
 
 // Cache is a disk-backed result store shared by the workers of a sweep
@@ -94,7 +106,7 @@ type Cache struct {
 	path string
 
 	mu      sync.Mutex
-	entries map[string]sim.Result
+	entries map[string]entry
 	seq     uint64 // bumped per mutation; orders snapshots
 
 	// writeMu covers disk I/O only, so workers flushing the store do
@@ -131,7 +143,7 @@ const defaultStorageProbe = time.Second
 // someone deletes the file by hand. RecoveryNote reports when that
 // happened so callers can warn the user.
 func OpenCache(path string) (*Cache, error) {
-	c := &Cache{path: path, entries: map[string]sim.Result{}}
+	c := &Cache{path: path, entries: map[string]entry{}}
 	blob, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return c, nil
@@ -147,6 +159,17 @@ func OpenCache(path string) (*Cache, error) {
 	case f.Version != cacheVersion:
 		reason = fmt.Sprintf("version %d, want %d", f.Version, cacheVersion)
 	}
+	entries := make(map[string]entry, len(f.Entries))
+	if reason == "" {
+		for key, raw := range f.Entries {
+			var res sim.Result
+			if err := json.Unmarshal(raw, &res); err != nil {
+				reason = fmt.Sprintf("not a results file: entry %s: %v", key, err)
+				break
+			}
+			entries[key] = entry{res: res, raw: raw}
+		}
+	}
 	if reason != "" {
 		quarantine := path + ".corrupt"
 		if err := os.Rename(path, quarantine); err != nil {
@@ -155,9 +178,7 @@ func OpenCache(path string) (*Cache, error) {
 		c.recovery = fmt.Sprintf("sweep: cache %s is %s; moved it to %s and starting empty", path, reason, quarantine)
 		return c, nil
 	}
-	if f.Entries != nil {
-		c.entries = f.Entries
-	}
+	c.entries = entries
 	return c, nil
 }
 
@@ -193,8 +214,8 @@ func (c *Cache) Get(cfg sim.Config) (sim.Result, bool) {
 func (c *Cache) Lookup(key string) (sim.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	res, ok := c.entries[key]
-	return res, ok
+	e, ok := c.entries[key]
+	return e.res, ok
 }
 
 // Keys returns the content-address keys of all stored results, sorted.
@@ -229,16 +250,52 @@ func (c *Cache) Put(cfg sim.Config, res sim.Result) error {
 // trace-driven configs Key re-digests every trace file, which is worth
 // doing once per job, not once per cache operation.
 func (c *Cache) PutKeyed(key string, res sim.Result) error {
+	raw, err := json.Marshal(res)
+	if err != nil {
+		// An unencodable result is a programming error, not a disk state.
+		return fmt.Errorf("sweep: encoding cache: %w", err)
+	}
 	c.mu.Lock()
-	c.entries[key] = res
+	c.entries[key] = entry{res: res, raw: raw}
 	c.seq++
 	seq := c.seq
-	snapshot := make(map[string]sim.Result, len(c.entries))
-	for k, v := range c.entries {
-		snapshot[k] = v
+	snapshot := make(map[string]json.RawMessage, len(c.entries))
+	for k, e := range c.entries {
+		snapshot[k] = e.raw
 	}
 	c.mu.Unlock()
-	return c.write(seq, snapshot)
+	c.write(seq, snapshot)
+	return nil
+}
+
+// encodeFile renders a snapshot as the results file. The bytes are
+// those json.Marshal gives for the version and a map[string]sim.Result
+// of the decoded results (keys sorted, values compact), but each value
+// is spliced in from its stored encoding: splicing is a copy, where
+// json.Marshal would re-validate every raw value, and re-encoding every
+// Result would cost O(n) encodes per Put.
+func encodeFile(snapshot map[string]json.RawMessage) []byte {
+	keys := make([]string, 0, len(snapshot))
+	size := 32
+	for k, raw := range snapshot {
+		keys = append(keys, k)
+		size += len(k) + len(raw) + 4
+	}
+	sort.Strings(keys)
+	blob := make([]byte, 0, size)
+	blob = append(blob, `{"version":`...)
+	blob = strconv.AppendInt(blob, cacheVersion, 10)
+	blob = append(blob, `,"entries":{`...)
+	for i, k := range keys {
+		if i > 0 {
+			blob = append(blob, ',')
+		}
+		quoted, _ := json.Marshal(k) // a string always encodes
+		blob = append(blob, quoted...)
+		blob = append(blob, ':')
+		blob = append(blob, snapshot[k]...)
+	}
+	return append(blob, "}}"...)
 }
 
 // write lands one snapshot atomically (temp file + rename), so a crash
@@ -253,39 +310,33 @@ func (c *Cache) PutKeyed(key string, res sim.Result) error {
 // to memory-only (StorageHealth reports it) and retries the disk once
 // per probe window — each snapshot is complete, so the first probe
 // that lands restores everything accumulated while degraded.
-func (c *Cache) write(seq uint64, snapshot map[string]sim.Result) error {
+func (c *Cache) write(seq uint64, snapshot map[string]json.RawMessage) {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
 	if seq <= c.written {
-		return nil
+		return
 	}
 	now := time.Now()
 	if c.degraded && now.Sub(c.lastProbe) < c.probeInterval() {
-		return nil // memory-only: skip the disk until the next probe window
+		return // memory-only: skip the disk until the next probe window
 	}
-	blob, err := json.Marshal(cacheFile{Version: cacheVersion, Entries: snapshot})
-	if err != nil {
-		// An unencodable result is a programming error, not a disk state;
-		// surface it instead of masking it as degradation.
-		return fmt.Errorf("sweep: encoding cache: %w", err)
-	}
+	blob := encodeFile(snapshot)
 	tmp := c.path + ".tmp"
 	//lint:allow lockio writeMu is a dedicated I/O-serialization mutex ordering snapshot writes; the entry map uses a separate lock, so Get/Put never wait on disk
 	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
 		c.noteWriteErrorLocked(now)
-		return nil
+		return
 	}
 	//lint:allow lockio writeMu is a dedicated I/O-serialization mutex ordering snapshot writes; rename completes the atomic temp-file publish started above
 	if err := os.Rename(tmp, c.path); err != nil {
 		c.noteWriteErrorLocked(now)
-		return nil
+		return
 	}
 	if c.degraded {
 		c.degraded = false
 		c.restores++
 	}
 	c.written = seq
-	return nil
 }
 
 // noteWriteErrorLocked records a failed disk write and (re)enters

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -76,6 +78,67 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheFileBytesMatchEncodedResults pins the results file to the
+// bytes json.Marshal gives for the decoded entries, across
+// Put → reopen → Put: stored encodings spliced into a snapshot must
+// not change the file format.
+func TestCacheFileBytesMatchEncodedResults(t *testing.T) {
+	type typedFile struct {
+		Version int                   `json:"version"`
+		Entries map[string]sim.Result `json:"entries"`
+	}
+	path := filepath.Join(t.TempDir(), "results.json")
+	want := typedFile{Version: cacheVersion, Entries: map[string]sim.Result{}}
+	check := func(stage string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, blob) {
+			t.Fatalf("%s: file (%d bytes) differs from json.Marshal of its %d entries (%d bytes)",
+				stage, len(got), len(want.Entries), len(blob))
+		}
+	}
+	put := func(c *Cache, cfg sim.Config) {
+		t.Helper()
+		res := runSerial(t, cfg)
+		if err := c.Put(cfg, res); err != nil {
+			t.Fatal(err)
+		}
+		key, err := Key(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Entries[key] = res
+	}
+
+	c, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := tinyConfig("mcf", 2)
+	cc.Mechanism = sim.ChargeCache
+	for _, cfg := range []sim.Config{tinyConfig("lbm", 1), cc, tinyConfig("tpch6", 3)} {
+		put(c, cfg)
+	}
+	check("after Put")
+
+	reopened, err := OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reopened.Len() != len(want.Entries) {
+		t.Fatalf("reopened cache has %d entries, want %d", reopened.Len(), len(want.Entries))
+	}
+	put(reopened, tinyConfig("libquantum", 4))
+	check("after reopen and Put")
+}
+
 // TestSweepResume simulates resuming a campaign: the first sweep
 // persists everything; a second sweep over the same configs must serve
 // every job from the cache and return identical results.
@@ -131,6 +194,7 @@ func TestOpenCacheQuarantinesGarbage(t *testing.T) {
 		{"truncated", `{"version":1,"entries":{"abc":{"Sat`},
 		{"not-json", "not json{"},
 		{"future-version", `{"version":99,"entries":{}}`},
+		{"entry-not-a-result", `{"version":1,"entries":{"abc":5}}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "results.json")

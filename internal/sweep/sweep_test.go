@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -74,6 +76,43 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("workers=%d: result %d differs from serial run", workers, i)
 			}
+		}
+	}
+}
+
+// TestRecycledLinesAcrossSizes runs a campaign that mixes two LLC
+// sizes, so the cache package's pool of line arrays passes sets between
+// worker goroutines and meets sizes it cannot reuse. Every result must
+// be byte-identical to a one-worker run's: a set handed out uncleared
+// or at the wrong size would change (or crash) a simulation.
+func TestRecycledLinesAcrossSizes(t *testing.T) {
+	var jobs []Job
+	for i, w := range []string{"lbm", "mcf", "tonto", "libquantum", "hmmer", "tpch6"} {
+		for _, size := range []int{4 << 20, 2 << 20} {
+			cfg := tinyConfig(w, uint64(i+1))
+			cfg.LLC.SizeBytes = size
+			if i%2 == 1 {
+				cfg.Mechanism = sim.ChargeCache
+			}
+			jobs = append(jobs, Job{Label: fmt.Sprintf("%s/%dMB", w, size>>20), Config: cfg})
+		}
+	}
+	run := func(workers int) []byte {
+		t.Helper()
+		res, err := Run(context.Background(), jobs, Options{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		blob, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	serial := run(1)
+	for pass := 0; pass < 2; pass++ {
+		if got := run(4); !bytes.Equal(got, serial) {
+			t.Fatalf("pass %d: 4-worker results differ from the 1-worker run", pass)
 		}
 	}
 }
